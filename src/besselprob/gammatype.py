@@ -21,6 +21,8 @@ from . import quad
 from .errors import AccuracyError
 from .policy import DEFAULT_POLICY, PrecisionPolicy
 from .specfun import (
+    _f2_alg_series,
+    _f2_osc_coeffs,
     bessel_j,
     bessel_j_normalized,
     digamma,
@@ -476,7 +478,6 @@ def f2_nonneg_scan(A: float, B: float, C: float, tol: float = 1e-9,
     def dominated_from(x: float) -> bool:
         if gap <= 0.0 or prof.alg <= 0.0:
             return False
-        from .specfun import _f2_alg_series
         alg_val, alg_bound = _f2_alg_series(A, B, C, x)
         return alg_val - alg_bound >= _SCAN_SAFETY * osc_envelope(x) and alg_val > 0.0
 
@@ -531,8 +532,6 @@ def f2_nonneg_scan(A: float, B: float, C: float, tol: float = 1e-9,
 
 
 def _osc_coeff_magnitudes(A: float, B: float, C: float) -> tuple:
-    from .specfun import _f2_osc_coeffs
-
     return tuple(abs(g) for g in _f2_osc_coeffs(A, B, C))
 
 

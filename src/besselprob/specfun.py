@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-import mpmath
+from mpmath import libmp
 
 from . import backend
 from .errors import AccuracyError, BracketError
@@ -379,26 +379,47 @@ def _f2_osc_coeffs(a: float, b: float, c: float, kmax: int = 14) -> tuple:
 def f2_tail_profile(a: float, b: float, c: float) -> F2TailProfile:
     _f2_pole_check(b, c)
     nu = a - b - c + 0.5
-    pref = math.exp(ln_gamma(b) + ln_gamma(c) - ln_gamma(a))
+    pref = _f2_alg_coeffs(a, b, c)[0]
     alg = pref * rgamma(b - a) * rgamma(c - a)
     osc = pref / math.sqrt(math.pi)
     return F2TailProfile(a=a, b=b, c=c, nu=nu, alg=alg, osc=osc)
 
 
-def _f2_alg_series(a: float, b: float, c: float, x: float, kmax: int = 14):
-    """Algebraic component of 1F2(a;b,c;-x) at large x (exact coefficients
-    from the Mellin-Barnes residues); returns (value, trunc_bound)."""
+@lru_cache(maxsize=256)
+def _f2_alg_coeffs(a: float, b: float, c: float, kmax: int = 14) -> tuple:
+    """Parameter-only parts of the algebraic large-x expansion of
+    1F2(a;b,c;-x): returns (pref, coeffs) with
+    pref = Gamma(b) Gamma(c) / Gamma(a) and
+    coeffs[k] = (-1)^k/k! Gamma(a+k) / (Gamma(b-a-k) Gamma(c-a-k)),
+    the Mellin-Barnes residues (DLMF 16.11), so that term k of the series
+    is pref * coeffs[k] * x^{-a-k}.  The tuple ends before the first
+    coefficient whose Gamma factor overflows a double."""
     pref = math.exp(ln_gamma(b) + ln_gamma(c) - ln_gamma(a))
-    total = 0.0
-    last = math.inf
-    bound = 0.0
+    coeffs = []
     sign = 1.0
     fact = 1.0
     for k in range(kmax + 1):
         if k > 0:
             sign = -sign
             fact *= k
-        t = sign / fact * math.exp(ln_gamma(a + k)) * rgamma(b - a - k) * rgamma(c - a - k) * x ** (-a - k)
+        try:
+            coeffs.append(sign / fact * math.exp(ln_gamma(a + k)) * rgamma(b - a - k) * rgamma(c - a - k))
+        except OverflowError:
+            break
+    return pref, tuple(coeffs)
+
+
+def _f2_alg_series(a: float, b: float, c: float, x: float, kmax: int = 14):
+    """Algebraic component of 1F2(a;b,c;-x) at large x (exact coefficients
+    from the Mellin-Barnes residues); returns (value, trunc_bound)."""
+    pref, coeffs = _f2_alg_coeffs(a, b, c, kmax)
+    total = 0.0
+    last = math.inf
+    bound = 0.0
+    for k in range(kmax + 1):
+        if k == len(coeffs):
+            raise OverflowError("1F2 algebraic coefficient overflows a double")
+        t = coeffs[k] * x ** (-a - k)
         at = abs(t)
         if at > last:
             bound = at
@@ -426,7 +447,7 @@ def _f2_asymptotic(a: float, b: float, c: float, x: float):
         tot += t
         last = at
         trunc = at
-    pref = math.exp(ln_gamma(b) + ln_gamma(c) - ln_gamma(a)) / math.sqrt(math.pi)
+    pref = _f2_alg_coeffs(a, b, c)[0] / math.sqrt(math.pi)
     env = pref * u ** nu
     osc = env * (cmath.exp(2j * u + 0.5j * nu * math.pi) * tot).real
     alg, alg_bound = _f2_alg_series(a, b, c, x)
@@ -441,25 +462,36 @@ _F2_ASYM_MIN_X = 160.0
 
 def _f2_highprec_series(a: float, b: float, c: float, x: float, digits: int):
     """Fixed-`digits` summation of the defining series; returns
-    (value, abs_bound).  Not adaptive: callers escalate explicitly."""
-    with mpmath.workdps(digits):
-        # hoist exact conversions: float+int arithmetic inside the loop
-        # would silently clip each factor back to double precision
-        aa, bb, cc, xx = (mpmath.mpf(v) for v in (a, b, c, x))
-        term = mpmath.mpf(1)
-        total = mpmath.mpf(1)
-        max_term = mpmath.mpf(1)
-        n = 0
-        for n in range(1, 6000):
-            term = term * ((aa + (n - 1)) * xx) / ((bb + (n - 1)) * (cc + (n - 1)) * n)
-            at = abs(term)
-            if at > max_term:
-                max_term = at
-            total += term
-            if at < 1e-8 * mpmath.mpf(10) ** (-digits) * (abs(total) + max_term):
-                break
-        bound = float(max_term) * 10.0 ** (2 - digits) * max(1.0, 0.05 * n)
-        return float(total), bound
+    (value, abs_bound).  Not adaptive: callers escalate explicitly.
+
+    Works on raw mpmath.libmp values: every step is the same rounded
+    operation, in the same order, that mpf arithmetic under
+    mpmath.workdps(digits) performs, at dps_to_prec(digits) bits with
+    rounding to nearest, so results equal the mpf formulation bit for bit
+    without its per-operation object dispatch."""
+    prec = libmp.dps_to_prec(digits)
+    rnd = libmp.round_nearest
+    add, mul, div = libmp.mpf_add, libmp.mpf_mul, libmp.mpf_div
+    mul_int, mpf_abs, from_int = libmp.mpf_mul_int, libmp.mpf_abs, libmp.from_int
+    # convert the inputs once, as mpf(v) does (exactly when prec >= 53)
+    aa, bb, cc, xx = (libmp.mpf_pos(libmp.from_float(v), prec, rnd) for v in (a, b, c, x))
+    term = total = max_term = libmp.fone
+    # loop-invariant part of the stopping test, 1e-8 * 10^-digits
+    stop = mul(libmp.mpf_pow_int(from_int(10), -digits, prec, rnd), libmp.from_float(1e-8), prec, rnd)
+    n = 0
+    for n in range(1, 6000):
+        m = from_int(n - 1)
+        num = mul(add(aa, m, prec, rnd), xx, prec, rnd)
+        den = mul_int(mul(add(bb, m, prec, rnd), add(cc, m, prec, rnd), prec, rnd), n, prec, rnd)
+        term = div(mul(term, num, prec, rnd), den, prec, rnd)
+        at = mpf_abs(term, prec, rnd)
+        if libmp.mpf_gt(at, max_term):
+            max_term = at
+        total = add(total, term, prec, rnd)
+        if libmp.mpf_lt(at, mul(stop, add(mpf_abs(total, prec, rnd), max_term, prec, rnd), prec, rnd)):
+            break
+    bound = libmp.to_float(max_term, rnd=rnd) * 10.0 ** (2 - digits) * max(1.0, 0.05 * n)
+    return libmp.to_float(total, rnd=rnd), bound
 
 
 def hyp1f2_with_bound(a: float, b: float, c: float, x: float,
@@ -481,16 +513,15 @@ def hyp1f2_with_bound(a: float, b: float, c: float, x: float,
         if x > 0.0 or bound <= need:
             return val, bound
     ax = -x
+    abound = math.inf
     if ax >= _F2_ASYM_MIN_X:
         aval, abound = _f2_asymptotic(a, b, c, ax)
         need = max(policy.target_abs_tol, policy.target_rel_tol * abs(aval))
         if abound <= need:
             return aval, abound
     hval, hbound = _f2_highprec_series(a, b, c, x, policy.highprec_digits)
-    if ax >= _F2_ASYM_MIN_X:
-        aval, abound = _f2_asymptotic(a, b, c, ax)
-        if abound < hbound:
-            return aval, abound
+    if abound < hbound:
+        return aval, abound
     return hval, hbound
 
 

@@ -204,6 +204,29 @@ class TestPochhammer:
         assert prod == pytest.approx(1.0, rel=1e-11)
 
 
+def _mpf_highprec_series(a, b, c, x, digits):
+    """The fixed-precision 1F2 summation in mpmath.mpf arithmetic: the
+    reference that specfun._f2_highprec_series must match bit for bit."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        aa, bb, cc, xx = (mpmath.mpf(v) for v in (a, b, c, x))
+        term = mpmath.mpf(1)
+        total = mpmath.mpf(1)
+        max_term = mpmath.mpf(1)
+        n = 0
+        for n in range(1, 6000):
+            term = term * ((aa + (n - 1)) * xx) / ((bb + (n - 1)) * (cc + (n - 1)) * n)
+            at = abs(term)
+            if at > max_term:
+                max_term = at
+            total += term
+            if at < 1e-8 * mpmath.mpf(10) ** (-digits) * (abs(total) + max_term):
+                break
+        bound = float(max_term) * 10.0 ** (2 - digits) * max(1.0, 0.05 * n)
+        return float(total), bound
+
+
 class TestHyp1F2:
     def test_at_zero_exact(self):
         assert specfun.hyp1f2(0.7, 1.3, 2.9, 0.0) == 1.0
@@ -219,12 +242,76 @@ class TestHyp1F2:
             rhs = specfun.bessel_j_normalized(alpha, z)
             assert lhs == pytest.approx(rhs, abs=5e-11)
 
-    @pytest.mark.parametrize("x", [-30.0, -130.0, -400.0, -2500.0])
-    def test_cancellation_and_asymptotic_paths(self, x):
+    # x straddles both route switches (the double series stops at |x| = 110,
+    # the large-x expansion starts at 160); 80 digits is the precision
+    # boundary_f_ab escalates to
+    @pytest.mark.parametrize("x, digits", [
+        pytest.param(x, 50, id=str(x))
+        for x in (-30.0, -109.9, -110.1, -130.0, -159.9, -160.1, -400.0, -2500.0)
+    ] + [pytest.param(-130.0, 80, id="-130.0-hp80")])
+    def test_cancellation_and_asymptotic_paths(self, x, digits):
+        policy = PrecisionPolicy(highprec_digits=digits)
         for (a, b, c) in ((1.5, 3.0, 2.0), (0.8, 1.2, 2.6), (2.5, 5.5, 3.0)):
-            v, bound = specfun.hyp1f2_with_bound(a, b, c, x)
+            v, bound = specfun.hyp1f2_with_bound(a, b, c, x, policy)
             want = oracles.series_hyp1f2(a, b, c, x)
             assert abs(v - want) <= max(bound, 1e-15 * abs(want))
+
+    # (a, b, c, x, highprec_digits) -> exact (value, bound) bits; any change
+    # to the order or precision of the arithmetic on these routes shows here
+    FROZEN_BITS = [
+        # 50-digit series
+        ((1.3, 2.0, 2.4, -130.0, 50), "0x1.a18cd0538aa34p-9", "0x1.141a46e1f0c27p-138"),
+        ((0.8, 1.2, 2.6, -109.9, 50), "0x1.d9eeabfc3da5fp-7", "0x1.c4860ca5d4148p-141"),
+        ((0.5, 3.0, 8.0, -200.0, 50), "0x1.1e55692452919p-2", "0x1.78e3448421455p-148"),
+        # 80-digit series
+        ((1.5, 3.0, 2.0, -130.0, 80), "0x1.8f951e8994f00p-10", "0x1.037085661650fp-238"),
+        # large-x expansion
+        ((1.3, 2.0, 2.4, -2.0e4, 50), "0x1.4ddd01cadf96cp-20", "0x1.36b62a8c5d57ap-63"),
+        ((1.0, 1.0, 3.5, -180.0, 50), "-0x1.8c1e235795593p-11", "0x1.1ebeb5d7283cap-55"),
+        ((2.5, 5.5, 3.0, -160.1, 50), "0x1.5cb8d425b62c6p-14", "0x1.9acd0075faa4cp-48"),
+    ]
+
+    @pytest.mark.parametrize("args, value, bound", FROZEN_BITS)
+    def test_frozen_bits(self, args, value, bound):
+        *abcx, digits = args
+        got = specfun.hyp1f2_with_bound(*abcx, PrecisionPolicy(highprec_digits=digits))
+        assert got == (float.fromhex(value), float.fromhex(bound))
+
+    @given(a=st.floats(0.05, 6.0), b=st.floats(0.1, 10.0), c=st.floats(0.1, 10.0),
+           x=st.floats(-300.0, -1.0), digits=st.sampled_from([15, 50, 80]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_highprec_series_matches_mpf_formulation(self, a, b, c, x, digits):
+        # bit equality with the same summation written in mpf arithmetic;
+        # at 15 digits the cancellation exposes any change of operation order
+        got = specfun._f2_highprec_series(a, b, c, x, digits)
+        assert got == _mpf_highprec_series(a, b, c, x, digits)
+
+    def test_alg_series_coefficient_overflow(self):
+        # the cached residue coefficients end where Gamma(a+k) overflows; the
+        # series still returns when its terms start growing before that k
+        got = specfun._f2_alg_series(158.0, 158.5, 158.5, 64.0)
+        assert got == (float.fromhex("0x1.a4cfe6d9a5cd1p+903"),
+                       float.fromhex("0x1.da0e2290e9fdbp+905"))
+        with pytest.raises(OverflowError):
+            specfun._f2_alg_series(158.0, 1.5, 2.5, 64.0)
+
+    def test_asymptotic_evaluated_once_before_highprec(self, monkeypatch):
+        # at this point the large-x bound misses the target, so the 50-digit
+        # series runs; the expansion's result is reused, not recomputed
+        calls = {"asym": 0, "hp": 0}
+
+        def counting(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(specfun, "_f2_asymptotic",
+                            counting("asym", specfun._f2_asymptotic))
+        monkeypatch.setattr(specfun, "_f2_highprec_series",
+                            counting("hp", specfun._f2_highprec_series))
+        specfun.hyp1f2_with_bound(0.5, 3.0, 8.0, -200.0)
+        assert calls == {"asym": 1, "hp": 1}
 
     def test_pole_rejected(self):
         with pytest.raises(ValueError):
