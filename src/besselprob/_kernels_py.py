@@ -1,9 +1,12 @@
 """Pure-Python scalar kernels: log-gamma, digamma, Bessel J/I, 1F2 series.
 
 This module is the fallback backend for the compiled extension
-(`_kernels_cy`).  Both expose the same function signatures; see
-`besselprob.backend` for the selection logic.  Everything here is scalar,
-pure and reentrant.
+(`_kernels_cy`).  Both expose the functions in `__all__` with the same
+signatures; see `besselprob.backend` for the selection logic.  The inverse
+normal CDF is not a scalar kernel: both backends use the numpy array
+version in `besselprob._normal` (the extension's own scalar
+`normal_inv_cdf` is no longer bound).  Everything here is scalar, pure and
+reentrant.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ __all__ = [
     "bessel_j_prime",
     "bessel_i",
     "hyp1f2_series",
-    "normal_inv_cdf",
     "j_crossover",
     "BACKEND_NAME",
 ]
@@ -29,7 +31,6 @@ __all__ = [
 BACKEND_NAME = "python"
 
 _LN_SQRT_2PI = 0.9189385332046727417803297  # log sqrt(2*pi)
-_SQRT_2PI = 2.5066282746310005024157653
 
 # Lanczos coefficients, g = 7, 9 terms (double precision grade).
 _LANCZOS_G = 7.0
@@ -337,32 +338,3 @@ def hyp1f2_series(a: float, b: float, c: float, x: float) -> tuple[float, float,
             break
     err = 4.0e-15 * max_term * (1.0 + n / 16.0)
     return total, err, n
-
-
-def normal_inv_cdf(u: float) -> float:
-    """Inverse standard normal CDF by Newton refinement on erfc.
-
-    Accurate to ~1e-15 over (0, 1); deterministic (no rejection loops).
-    """
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"normal_inv_cdf requires 0 < u < 1, got {u!r}")
-    v = u - 0.5
-    if abs(v) <= 0.425:
-        x = _SQRT_2PI * v * (1.0 + math.pi * v * v / 6.0)
-    else:
-        p = min(u, 1.0 - u)
-        t = math.sqrt(-2.0 * math.log(p))
-        x = t - (math.log(t * t) + math.log(2.0 * math.pi)) / (2.0 * t)
-        if v < 0.0:
-            x = -x
-    for _ in range(4):
-        # Phi(x) - u, written tail-first so tiny u keeps relative accuracy
-        if x < 0.0:
-            diff = 0.5 * math.erfc(-x / math.sqrt(2.0)) - u
-        else:
-            diff = (1.0 - u) - 0.5 * math.erfc(x / math.sqrt(2.0))
-        pdf = math.exp(-0.5 * x * x) / _SQRT_2PI
-        if pdf <= 0.0:
-            break
-        x -= diff / pdf
-    return x

@@ -2,12 +2,15 @@
 otherwise.
 
 Set BESSELPROB_PURE_PYTHON=1 to force the fallback (used by the benchmark
-and by tests that compare the two implementations).
+and by tests that compare the two implementations).  The inverse normal CDF
+is an array kernel (numpy, AS241) shared by both backends.
 """
 
 from __future__ import annotations
 
 import os
+
+from ._normal import normal_inv_cdf  # array kernel, the same for both backends
 
 if os.environ.get("BESSELPROB_PURE_PYTHON", "") not in ("", "0"):
     from . import _kernels_py as kernels
@@ -29,5 +32,4 @@ bessel_j_normalized = kernels.bessel_j_normalized
 bessel_i = kernels.bessel_i
 bessel_i_normalized = kernels.bessel_i_normalized
 hyp1f2_series = kernels.hyp1f2_series
-normal_inv_cdf = kernels.normal_inv_cdf
 j_crossover = kernels.j_crossover

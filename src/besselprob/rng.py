@@ -21,25 +21,32 @@ def block_generator(seed: int, block_index: int) -> np.random.Generator:
 
 def normal_from_uniform(u: np.ndarray) -> np.ndarray:
     """Inverse standard normal CDF, elementwise (deterministic, no
-    rejection)."""
-    flat = np.asarray(u, dtype=float).ravel()
-    out = np.fromiter((backend.normal_inv_cdf(v) for v in flat),
-                      dtype=float, count=flat.size)
-    return out.reshape(np.shape(u))
+    rejection): one call of the array kernel for the whole array."""
+    return backend.normal_inv_cdf(u)
 
 
 def exponential_from_uniform(u: np.ndarray) -> np.ndarray:
-    """Unit exponential by inversion; u in [0, 1)."""
-    return -np.log1p(-np.asarray(u, dtype=float))
+    """Unit exponential by inversion; u in [0, 1).  Computes
+    -log1p(-u) in one new array, without temporaries."""
+    e = np.negative(np.asarray(u, dtype=float))
+    np.log1p(e, out=e)
+    return np.negative(e, out=e)
+
+
+def blocks(seed: int, count: int, per_sample: int):
+    """Yield (rows, uniforms) per block of sample indices: a slice of
+    range(count) and the block's (len(rows), per_sample) uniforms, so a
+    caller can transform and reduce one block before drawing the next."""
+    for b in range((count + BLOCK - 1) // BLOCK):
+        lo = b * BLOCK
+        hi = min(lo + BLOCK, count)
+        yield slice(lo, hi), block_generator(seed, b).random((hi - lo, per_sample))
 
 
 def uniform_blocks(seed: int, count: int, per_sample: int) -> np.ndarray:
     """(count, per_sample) uniforms, reproducible independent of how blocks
     would be scheduled across workers."""
     out = np.empty((count, per_sample), dtype=float)
-    for b in range((count + BLOCK - 1) // BLOCK):
-        lo = b * BLOCK
-        hi = min(lo + BLOCK, count)
-        gen = block_generator(seed, b)
-        out[lo:hi] = gen.random((hi - lo, per_sample))
+    for rows, u in blocks(seed, count, per_sample):
+        out[rows] = u
     return out

@@ -500,7 +500,9 @@ def hyp1f2_with_bound(a: float, b: float, c: float, x: float,
 
     Route: direct double series while its cancellation bound meets the
     policy target; the large-x expansion for x <= -_F2_ASYM_MIN_X when its
-    bound is at least as good; otherwise the fixed-50-digit series.
+    bound is at least as good; otherwise the fixed-50-digit series.  The
+    expansion's Gamma prefactor needs a, b, c > 0, so any other parameters
+    go to the 50-digit series at every large x.
     """
     _f2_pole_check(b, c)
     if x == 0.0:
@@ -514,7 +516,7 @@ def hyp1f2_with_bound(a: float, b: float, c: float, x: float,
             return val, bound
     ax = -x
     abound = math.inf
-    if ax >= _F2_ASYM_MIN_X:
+    if ax >= _F2_ASYM_MIN_X and min(a, b, c) > 0.0:
         aval, abound = _f2_asymptotic(a, b, c, ax)
         need = max(policy.target_abs_tol, policy.target_rel_tol * abs(aval))
         if abound <= need:

@@ -181,17 +181,29 @@ def hadamard_cf(model: PowerSemicircle, z: float, truncation: int = 200,
     return -val if negative else val
 
 
+def _hitting_time_blocks(model: HittingTimeModel, rng_seed: int, count: int,
+                         per_sample: int):
+    """Yield (rows, uniforms, T) per rng block: T is drawn from the first
+    len(model.zeros) uniform columns, the caller owns any further ones."""
+    n = len(model.zeros)
+    inv_j2 = 2.0 / np.asarray(model.zeros.zeros) ** 2
+    for rows, u in rng.blocks(rng_seed, count, per_sample):
+        e = rng.exponential_from_uniform(u[:, :n])
+        # a per-row sum outside BLAS, so the bits of each draw depend neither
+        # on the BLAS thread count nor on how many rows the block has
+        yield rows, u, np.einsum("ij,j->i", e, inv_j2) + model.tail_mean
+
+
 def sample_hitting_time(model: HittingTimeModel, rng_seed: int,
                         count: int) -> np.ndarray:
     """count independent draws: sum_n 2 E_n / j_n^2 over the table plus the
     deterministic tail mean (E_n unit exponentials)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    n = len(model.zeros)
-    u = rng.uniform_blocks(rng_seed, count, n)
-    e = rng.exponential_from_uniform(u)
-    inv_j2 = 2.0 / np.asarray(model.zeros.zeros) ** 2
-    return e @ inv_j2 + model.tail_mean
+    out = np.empty(count)
+    for rows, _, t in _hitting_time_blocks(model, rng_seed, count, len(model.zeros)):
+        out[rows] = t
+    return out
 
 
 def sample_subordinated(model: HittingTimeModel, rng_seed: int,
@@ -202,12 +214,10 @@ def sample_subordinated(model: HittingTimeModel, rng_seed: int,
     if count < 1:
         raise ValueError("count must be >= 1")
     n = len(model.zeros)
-    u = rng.uniform_blocks(rng_seed, count, n + 1)
-    e = rng.exponential_from_uniform(u[:, :n])
-    inv_j2 = 2.0 / np.asarray(model.zeros.zeros) ** 2
-    t = e @ inv_j2 + model.tail_mean
-    z = rng.normal_from_uniform(u[:, n])
-    return np.sqrt(t) * z
+    out = np.empty(count)
+    for rows, u, t in _hitting_time_blocks(model, rng_seed, count, n + 1):
+        out[rows] = np.sqrt(t) * rng.normal_from_uniform(u[:, n])
+    return out
 
 
 @dataclass(frozen=True)

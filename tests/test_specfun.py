@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,13 +75,6 @@ class TestKernels:
         v0, err0, _ = kern.hyp1f2_series(0.7, 1.1, 2.2, 0.0)
         assert v0 == 1.0 and err0 < 1e-13
 
-    def test_normal_inv_cdf(self, kern):
-        assert kern.normal_inv_cdf(0.5) == 0.0
-        # standard two-sided 95% quantile
-        assert kern.normal_inv_cdf(0.975) == pytest.approx(1.959963984540054, abs=1e-12)
-        with pytest.raises(ValueError):
-            kern.normal_inv_cdf(0.0)
-
     def test_series_asymptotic_overlap(self, kern):
         # the two J evaluation paths must agree around the crossover (for
         # orders small enough that the raw series still has digits there;
@@ -92,6 +86,64 @@ class TestKernels:
                 s = kern.bessel_j_series(alpha, z)
                 a = kern.bessel_j_asymptotic(alpha, z)
                 assert abs(s - a) <= 10.0 * policy.target_abs_tol
+
+
+def _normal_quantile_mp(u: float):
+    """Phi^{-1}(u) to 40 digits: Newton on mpmath's ncdf from the double
+    estimate, with the upper tail mirrored so 1 - u stays exact."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        p = mp.mpf(u)
+        if p == 0.5:
+            return mp.mpf(0)
+        if p > 0.5:
+            return -_normal_quantile_mp(1.0 - u)
+        x = mp.mpf(backend.normal_inv_cdf(u))
+        for _ in range(6):
+            x -= (mp.ncdf(x) - p) / mp.npdf(x)
+        return x
+
+
+class TestNormalInvCdf:
+    # the array kernel (AS241) bound for every backend
+    def test_normal_inv_cdf(self):
+        assert backend.normal_inv_cdf(0.5) == 0.0
+        # standard two-sided 95% quantile
+        assert backend.normal_inv_cdf(0.975) == pytest.approx(1.959963984540054, abs=1e-15)
+        assert type(backend.normal_inv_cdf(0.975)) is float
+        # odd symmetry where 1 - u is exact, in the central region and a tail
+        for u in (0.375, 2.0 ** -10):
+            assert backend.normal_inv_cdf(u) == -backend.normal_inv_cdf(1.0 - u)
+
+    def test_relative_error_against_mpmath(self):
+        # 0.075 and 0.925 sit at the central/tail switch (|u - 1/2| = 0.425);
+        # the geometric points reach the far tail (r > 5) down to 1e-300
+        grid = np.concatenate([
+            np.linspace(0.001, 0.999, 199), [0.075, 0.925, 0.5 + 2.0 ** -53, 1.0 - 2.0 ** -53],
+            np.geomspace(1e-300, 0.4, 120), 1.0 - np.geomspace(1e-15, 0.4, 40)])
+        got = backend.normal_inv_cdf(grid)
+        worst = 0.0
+        for u, x in zip(grid, got):
+            want = _normal_quantile_mp(float(u))
+            worst = max(worst, float(abs((x - want) / want)) if want else abs(x))
+        assert worst <= 2e-15
+
+    def test_shape_preserved(self):
+        u = np.linspace(0.05, 0.95, 12).reshape(3, 4)
+        got = backend.normal_inv_cdf(u)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got.ravel(), backend.normal_inv_cdf(u.ravel()))
+        assert backend.normal_inv_cdf(np.array([0.3])).shape == (1,)
+        assert backend.normal_inv_cdf(np.empty((0, 2))).shape == (0, 2)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5, math.nan,
+                                     [0.2, 0.0, 0.7], np.array([[0.5, 1.0]])],
+                             ids=["zero", "one", "negative", "above-one", "nan",
+                                  "list-with-zero", "array-with-one"])
+    def test_domain(self, bad):
+        with pytest.raises(ValueError):
+            backend.normal_inv_cdf(bad)
 
 
 def test_bessel_j_vs_series_oracle():
@@ -312,6 +364,19 @@ class TestHyp1F2:
                             counting("hp", specfun._f2_highprec_series))
         specfun.hyp1f2_with_bound(0.5, 3.0, 8.0, -200.0)
         assert calls == {"asym": 1, "hp": 1}
+
+    # the large-x expansion needs a, b, c > 0 (its prefactor takes
+    # log Gamma of each); other parameters take the 50-digit series
+    @pytest.mark.parametrize("a, b, c, x", [
+        (1.0, -0.5, 2.0, -200.0), (-0.5, 1.5, 2.0, -200.0), (1.0, 2.0, -1.5, -300.0)])
+    def test_nonpositive_parameters_at_large_x(self, a, b, c, x):
+        import mpmath as mp
+
+        v, bound = specfun.hyp1f2_with_bound(a, b, c, x)
+        with mp.workdps(30):
+            want = float(mp.hyp1f2(a, b, c, x))
+        assert abs(v - want) <= max(bound, 1e-15 * abs(want))
+        assert specfun.hyp1f2(a, b, c, x) == v
 
     def test_pole_rejected(self):
         with pytest.raises(ValueError):

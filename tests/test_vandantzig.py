@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from besselprob import quad, specfun, vandantzig as vd
+import besselprob
+from besselprob import quad, rng, specfun, vandantzig as vd
 
 # frozen 50-digit values
 SIN_1 = 0.84147098480789650665
@@ -172,6 +176,53 @@ class TestSampling:
         big = vd.sample_hitting_time(m, 11, 9000)
         small = vd.sample_hitting_time(m, 11, 4096)
         assert np.array_equal(big[:4096], small)
+
+    @pytest.mark.parametrize("sampler", ["sample_hitting_time", "sample_subordinated"])
+    def test_prefix_stability_unaligned_counts(self, sampler):
+        # neither count is a multiple of the block size: the short draw ends
+        # inside the third block, which the long draw fills completely
+        m = vd.HittingTimeModel.build(1.5)
+        big = getattr(vd, sampler)(m, 23, 20000)
+        small = getattr(vd, sampler)(m, 23, 9000)
+        assert np.array_equal(big[:9000], small)
+
+    def test_streaming_matches_whole_matrix_formula(self):
+        # reference: all uniforms at once, T as one matrix-vector product;
+        # the streamed per-row sums may differ from it in the last bits only
+        m = vd.HittingTimeModel.build(0.5)
+        n = len(m.zeros)
+        inv_j2 = 2.0 / np.asarray(m.zeros.zeros) ** 2
+
+        def whole(per_sample):
+            u = rng.uniform_blocks(29, 5000, per_sample)
+            return u, rng.exponential_from_uniform(u[:, :n]) @ inv_j2 + m.tail_mean
+
+        _, t = whole(n)
+        np.testing.assert_allclose(vd.sample_hitting_time(m, 29, 5000), t, rtol=1e-14)
+        u, t = whole(n + 1)
+        y = np.sqrt(t) * rng.normal_from_uniform(u[:, n])
+        np.testing.assert_allclose(vd.sample_subordinated(m, 29, 5000), y, rtol=1e-14)
+
+    def test_independent_of_blas_threads(self):
+        # the same seed gives the same bytes whatever the BLAS thread count
+        script = (
+            "import hashlib\n"
+            "from besselprob import vandantzig as vd\n"
+            "h = hashlib.sha256()\n"
+            "for alpha in (0.0, 0.5, 1.0, 2.0):\n"
+            "    m = vd.HittingTimeModel.build(alpha)\n"
+            "    h.update(vd.sample_hitting_time(m, 31, 16461).tobytes())\n"
+            "    h.update(vd.sample_subordinated(m, 31, 16461).tobytes())\n"
+            "print(h.hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(besselprob.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.append(run.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_mean_against_derivative(self):
         m = vd.HittingTimeModel.build(0.5)
