@@ -1,8 +1,7 @@
 """Kernel backend selection: compiled extension when available, pure Python
 otherwise.
 
-Set BESSELPROB_PURE_PYTHON=1 to force the fallback (used by the benchmark
-and by tests that compare the two implementations).  The inverse normal CDF
+Set BESSELPROB_PURE_PYTHON=1 to force the fallback.  The inverse normal CDF
 is an array kernel (numpy, AS241) shared by both backends.
 """
 

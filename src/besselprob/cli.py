@@ -18,7 +18,6 @@ import math
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -80,16 +79,8 @@ def _manifest(args, started: float) -> dict:
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "threads": getattr(args, "threads", 1),
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
-
-
-def _pmap(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +95,16 @@ def cmd_verify_lommel(args) -> int:
         sys.stderr.write("alpha must exceed -1/2\n")
         return EXIT_USAGE
 
-    def row(pair):
-        alpha, t = pair
+    def row(alpha, t):
         c = math.exp(-specfun.ln_gamma(alpha + 0.5)) / math.sqrt(math.pi) \
             * (0.5 * t) ** alpha
         lam = alpha - 0.5
         cos_part = quad.tanh_sinh(
             lambda x, dlo, dhi: math.cos(t * x) * (dlo * dhi) ** lam,
-            -1.0, 1.0, tol=min(args.tol * 1e-2, 1e-12), edges=True)
+            -1.0, 1.0, tol=min(args.tol * 1e-2, 1e-12))
         sin_part = quad.tanh_sinh(
             lambda x, dlo, dhi: math.sin(t * x) * (dlo * dhi) ** lam,
-            -1.0, 1.0, tol=1e-12, edges=True)
+            -1.0, 1.0, tol=1e-12)
         lhs = c * cos_part.value
         rhs = specfun.bessel_j(alpha, t)
         return {
@@ -126,7 +116,7 @@ def cmd_verify_lommel(args) -> int:
             "odd_part": abs(c * sin_part.value),
         }
 
-    rows = _pmap(row, [(a, t) for a in alphas for t in ts], args.threads)
+    rows = [row(a, t) for a in alphas for t in ts]
     ok = all(r["abs_err"] <= args.tol for r in rows)
     payload = {"rows": rows, "tol": args.tol, "pass": ok}
     _emit(args, _canonical(payload), _manifest(args, started))
@@ -143,12 +133,10 @@ def cmd_verify_ws(args) -> int:
     if any(not 0.0 < f < 1.0 for f in fracs):
         sys.stderr.write("s fractions must lie strictly inside (0, 1)\n")
         return EXIT_USAGE
-    policy = _policy_from(args)
 
-    def row(pair):
-        alpha, frac = pair
+    def row(alpha, frac):
         s = frac * (alpha + 0.5)
-        r = quad.ws_integral(alpha, s, tol=args.tol * 0.1, policy=policy)
+        r = quad.ws_integral(alpha, s, tol=args.tol * 0.1)
         rhs = quad.ws_rhs(alpha, s)
         return {
             "alpha": alpha,
@@ -159,7 +147,7 @@ def cmd_verify_ws(args) -> int:
             "converged": r.converged,
         }
 
-    rows = _pmap(row, [(a, f) for a in alphas for f in fracs], args.threads)
+    rows = [row(a, f) for a in alphas for f in fracs]
     ok = all(r["rel_err"] <= args.tol for r in rows)
     payload = {"rows": rows, "tol": args.tol, "pass": ok}
     _emit(args, _canonical(payload), _manifest(args, started))
@@ -255,12 +243,9 @@ def cmd_gammatype_exists(args) -> int:
         if args.spec_json or args.spec_file:
             spec = _load_spec(args)
             verdict = gammatype.exists_spec(spec, policy=_policy_from(args))
-            extra = {}
-            n, m, p, q = spec.sizes
-            if m == 0 and q == 0 and p == n and p > 0 \
-                    and abs(sum(spec.a) - sum(spec.c)) <= 1e-10 * sum(spec.a):
-                extra["atom_at_one"] = gammatype.atom_at_one(spec)
-            payload = dict(verdict.to_dict(), **extra)
+            payload = verdict.to_dict()
+            if spec.has_atom_at_one:
+                payload["atom_at_one"] = gammatype.atom_at_one(spec)
         elif None not in (args.a, args.b, args.c, args.d):
             verdict = gammatype.exists_D(
                 _parse_number(args.a), _parse_number(args.b),
@@ -293,8 +278,7 @@ def cmd_gammatype_boundary(args) -> int:
                                     policy=_policy_from(args))
         return f"{s.u:.12g},{s.f_value:.12g},{s.bracket_width:.12g},{s.method}\n"
 
-    lines = _pmap(row, list(us), args.threads)
-    text = "u,f_value,bracket_width,method\n" + "".join(lines)
+    text = "u,f_value,bracket_width,method\n" + "".join(row(u) for u in us)
     _emit(args, text, _manifest(args, started))
     return EXIT_PASS
 
@@ -378,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-9)
     common.add_argument("--highprec-digits", type=int, default=None)
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--seed", type=int, default=20260808)
     common.add_argument("--out", type=str, default=None)
 

@@ -104,6 +104,14 @@ class GammaRatioSpec:
         """(n, m, p, q) = (#a, #b, #c, #d)."""
         return (len(self.a), len(self.b), len(self.c), len(self.d))
 
+    @property
+    def has_atom_at_one(self) -> bool:
+        """Bounded support (b = d = empty, #a = #c >= 1) with equal sums of
+        a and c: the moments tend to atom_at_one(self), a point mass at one."""
+        n, m, p, q = self.sizes
+        return m == 0 and q == 0 and p == n and p > 0 \
+            and abs(sum(self.a) - sum(self.c)) <= 1e-10 * sum(self.a)
+
 
 @dataclass(frozen=True)
 class ExistenceVerdict:
@@ -194,9 +202,12 @@ def _phi(entries: Sequence[float], x: float) -> float:
     return math.fsum(math.exp(-e * x) for e in entries)
 
 
-def schur_check(a_set: Sequence[float], c_set: Sequence[float],
-                x_max: float = 60.0, samples: int = 400):
-    """Scan of phi_a - phi_c >= 0 on (0, x_max] with sign-change
+_SCHUR_X_MAX = 60.0
+_SCHUR_SAMPLES = 400
+
+
+def schur_check(a_set: Sequence[float], c_set: Sequence[float]):
+    """Scan of phi_a - phi_c >= 0 on (0, 60] with sign-change
     refinement; returns (ok, witness).
 
     Endpoint structure: the difference starts at #a - #c with slope
@@ -207,7 +218,7 @@ def schur_check(a_set: Sequence[float], c_set: Sequence[float],
     if not a or not c:
         raise ValueError("both sets must be nonempty")
     diff = lambda x: _phi(a, x) - _phi(c, x)
-    xs = np.geomspace(1e-7, x_max, samples)
+    xs = np.geomspace(1e-7, _SCHUR_X_MAX, _SCHUR_SAMPLES)
     prev_x = 0.0
     for x in xs:
         if diff(x) < -1e-13 * max(1.0, len(a)):
@@ -396,9 +407,7 @@ def extremal_density(a: float, b: float, x: float) -> float:
     return math.exp(lc + (a - 1.5) * math.log(x)) * j * j
 
 
-def extremal_moment_check(a: float, b: float, s: float,
-                          tol: float = 1e-8,
-                          policy: PrecisionPolicy = DEFAULT_POLICY):
+def extremal_moment_check(a: float, b: float, s: float, tol: float = 1e-8):
     """Moment of the extremal density two ways: the substituted
     squared-Bessel Mellin integral versus the Gamma-ratio symbol.
 
@@ -406,7 +415,7 @@ def extremal_moment_check(a: float, b: float, s: float,
     if not -a < s < b:
         raise ValueError(f"s={s} outside (-{a}, {b})")
     alpha = a + b - 0.5
-    ws = quad.ws_integral(alpha, a + s, tol=tol, policy=policy)
+    ws = quad.ws_integral(alpha, a + s, tol=tol)
     lc = math.log(2.0) + 0.5 * math.log(math.pi) + ln_gamma(2 * a + b) \
         + ln_gamma(a + 0.5) - ln_gamma(a) - ln_gamma(b)
     lhs = math.exp(lc) * ws.value
@@ -441,9 +450,8 @@ def _is_square_structure(A: float, B: float, C: float) -> bool:
     return False
 
 
-def f2_nonneg_scan(A: float, B: float, C: float, tol: float = 1e-9,
-                   policy: PrecisionPolicy = DEFAULT_POLICY,
-                   x_cap: float = _SCAN_X_CAP) -> ScanOutcome:
+def f2_nonneg_scan(A: float, B: float, C: float,
+                   policy: PrecisionPolicy = DEFAULT_POLICY) -> ScanOutcome:
     """Decide the sign pattern of x -> 1F2(A; B, C; -x) on [0, inf).
 
     March in y = sqrt(x) (16 points per oscillation period), verify any
@@ -485,7 +493,7 @@ def f2_nonneg_scan(A: float, B: float, C: float, tol: float = 1e-9,
     x_stop = None
     if gap > 0.0 and prof.alg > 0.0:
         x_try = 64.0
-        while x_try <= x_cap:
+        while x_try <= _SCAN_X_CAP:
             if dominated_from(x_try):
                 x_stop = x_try
                 break
@@ -497,7 +505,7 @@ def f2_nonneg_scan(A: float, B: float, C: float, tol: float = 1e-9,
     # decays below it)
     dy = math.pi / 16.0
     y = dy
-    y_max = math.sqrt(x_cap if x_stop is None else x_stop)
+    y_max = math.sqrt(_SCAN_X_CAP if x_stop is None else x_stop)
     prev_x, prev_v = 0.0, 1.0
     ambiguous = 0.0
     while y <= y_max + dy:
@@ -517,9 +525,9 @@ def f2_nonneg_scan(A: float, B: float, C: float, tol: float = 1e-9,
                            detail="scan clean; algebraic tail dominates")
     if boundary:
         # equal decay: the trough value behaves like (P - Q) x^{-A}
-        margin = prof.osc * (g1 / math.sqrt(x_cap) + 1e-12)
+        margin = prof.osc * (g1 / math.sqrt(_SCAN_X_CAP) + 1e-12)
         if prof.alg - prof.osc > margin:
-            return ScanOutcome(kind="Nonnegative", bound=x_cap,
+            return ScanOutcome(kind="Nonnegative", bound=_SCAN_X_CAP,
                                detail="boundary case, algebraic coefficient wins")
         if prof.alg - prof.osc < -margin:
             return ScanOutcome(kind="Indeterminate",
@@ -528,7 +536,8 @@ def f2_nonneg_scan(A: float, B: float, C: float, tol: float = 1e-9,
         return ScanOutcome(kind="Indeterminate", detail="boundary case too close to call")
     # oscillation dominates (gap < 0) but no verified witness inside the cap
     return ScanOutcome(kind="Indeterminate",
-                       detail=f"no verified witness below x={x_cap:g}; ambiguity {ambiguous:.3g}")
+                       detail=f"no verified witness below x={_SCAN_X_CAP:g}; "
+                              f"ambiguity {ambiguous:.3g}")
 
 
 def _osc_coeff_magnitudes(A: float, B: float, C: float) -> tuple:
@@ -559,9 +568,8 @@ def _refine_witness(A, B, C, x_lo, v_lo, x_hi, v_hi, policy) -> float:
 # Existence oracle for the quartet family
 
 
-def exists_D(a: float, b: float, c: float, d: float, tol: float = 1e-9,
-             policy: PrecisionPolicy = DEFAULT_POLICY,
-             x_cap: float = _SCAN_X_CAP) -> ExistenceVerdict:
+def exists_D(a: float, b: float, c: float, d: float,
+             policy: PrecisionPolicy = DEFAULT_POLICY) -> ExistenceVerdict:
     """Existence of the law with moments (a)_s (b)_{-s} / ((c)_s (d)_s).
 
     Closed-form sum/min rules decide almost everywhere; the gap band
@@ -578,7 +586,7 @@ def exists_D(a: float, b: float, c: float, d: float, tol: float = 1e-9,
         return ExistenceVerdict("NotExists", "sum-below-threshold", witness=c + d)
     if mn >= min(2.0 * a + b, a + 0.5) - 1e-12:
         return ExistenceVerdict("Exists", "sum-threshold-rule")
-    out = f2_nonneg_scan(a + b, c + b, d + b, tol=tol, policy=policy, x_cap=x_cap)
+    out = f2_nonneg_scan(a + b, c + b, d + b, policy=policy)
     if out.kind == "Negative":
         return ExistenceVerdict("NotExists", "scan-negative", witness=out.witness)
     if out.kind == "Nonnegative":
@@ -587,7 +595,7 @@ def exists_D(a: float, b: float, c: float, d: float, tol: float = 1e-9,
     return ExistenceVerdict("Indeterminate", "scan-indeterminate")
 
 
-def exists_spec(spec: GammaRatioSpec, tol: float = 1e-9,
+def exists_spec(spec: GammaRatioSpec,
                 policy: PrecisionPolicy = DEFAULT_POLICY) -> ExistenceVerdict:
     """Existence dispatcher for general four-set symbols, by shape.
 
@@ -605,7 +613,7 @@ def exists_spec(spec: GammaRatioSpec, tol: float = 1e-9,
     if m == 0 and q == 0:
         if p == 1 or n <= 2:
             return ExistenceVerdict("Exists", "beta-gamma-product")
-        if p == n and abs(sum(spec.a) - sum(spec.c)) <= 1e-10 * sum(spec.a):
+        if spec.has_atom_at_one:
             atom = atom_at_one(spec)
             if atom > 1.0 + 1e-12:
                 return ExistenceVerdict("NotExists", "atom-exceeds-one", witness=atom)
@@ -614,8 +622,7 @@ def exists_spec(spec: GammaRatioSpec, tol: float = 1e-9,
             return ExistenceVerdict("Exists", "schur-holds")
         return ExistenceVerdict("Indeterminate", "schur-fails", witness=witness)
     if n == 1 and m == 1 and p == 2 and q == 0:
-        return exists_D(spec.a[0], spec.b[0], spec.c[0], spec.c[1],
-                        tol=tol, policy=policy)
+        return exists_D(spec.a[0], spec.b[0], spec.c[0], spec.c[1], policy=policy)
     if p <= 1 and q <= 1:
         return ExistenceVerdict("Exists", "beta-gamma-ratio")
     return ExistenceVerdict("Indeterminate", "unclassified-shape")
@@ -638,7 +645,6 @@ class BoundarySample:
 
 
 def boundary_f_ab(a: float, b: float, u: float, resolution: float = 1e-3,
-                  tol: float = 1e-9,
                   policy: PrecisionPolicy = DEFAULT_POLICY) -> BoundarySample:
     """Smallest c such that the pair (c, u) admits a distribution.
 
@@ -657,12 +663,12 @@ def boundary_f_ab(a: float, b: float, u: float, resolution: float = 1e-3,
     escalated = False
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        verdict = exists_D(a, b, mid, u, tol=tol, policy=policy)
+        verdict = exists_D(a, b, mid, u, policy=policy)
         if verdict.state == "Indeterminate" and not escalated:
             escalated = True
             policy = dataclasses.replace(
                 policy, highprec_digits=max(80, policy.highprec_digits))
-            verdict = exists_D(a, b, mid, u, tol=tol, policy=policy)
+            verdict = exists_D(a, b, mid, u, policy=policy)
         if verdict.state == "Indeterminate":
             break
         if verdict.state == "Exists":
@@ -747,7 +753,7 @@ def askey_szego_check(a: float, b: float, x_grid: Sequence[float],
                     lambda t, dlo, dhi: c_head
                     * math.exp((2.0 * b - 1.0) * math.log(dlo))
                     * bessel_j_normalized(nu, dlo),
-                    lo, hi, tol=min(tol, 1e-11), edges=True)
+                    lo, hi, tol=min(tol, 1e-11))
                 total += r.value
                 first = False
             else:
@@ -798,10 +804,7 @@ def density_via_inversion(spec: GammaRatioSpec, x: float,
     if not (lo < line_sigma < hi):
         raise ValueError(f"line_sigma={line_sigma} outside ({lo}, {hi})")
 
-    atom = 0.0
-    if m == 0 and q == 0 and p == n and p > 0 \
-            and abs(sum(spec.a) - sum(spec.c)) <= 1e-10 * sum(spec.a):
-        atom = atom_at_one(spec)
+    atom = atom_at_one(spec) if spec.has_atom_at_one else 0.0
 
     def symbol(tau: float) -> complex:
         return mellin_complex(spec, complex(line_sigma, tau)) - atom
@@ -879,7 +882,7 @@ def selberg2_check(alpha: float, s: float, tol: float = 1e-8):
             # dlo = u and dhi = length - u exactly; the other two factors
             # stay interior for v > 0
             return (dlo * (1.0 - dlo) * (dlo + v) * dhi) ** lam
-        r = quad.tanh_sinh(g, 0.0, length, tol=1e-11, edges=True)
+        r = quad.tanh_sinh(g, 0.0, length, tol=1e-11)
         return r.value
 
     def outer(v: float, dlo: float, dhi: float) -> float:
@@ -888,7 +891,7 @@ def selberg2_check(alpha: float, s: float, tol: float = 1e-8):
             return 0.0
         return dlo ** ex * inner(dlo, dhi)
 
-    r = quad.tanh_sinh(outer, 0.0, 1.0, tol=max(tol * 0.1, 1e-10), edges=True)
+    r = quad.tanh_sinh(outer, 0.0, 1.0, tol=max(tol * 0.1, 1e-10))
     return 2.0 * r.value, selberg2_closed_form(alpha, s)
 
 

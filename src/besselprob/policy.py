@@ -11,8 +11,6 @@ class PrecisionPolicy:
 
     target_abs_tol / target_rel_tol
         Accuracy goals for kernel evaluations and quadratures.
-    series_terms_max
-        Hard cap on power-series terms (>= 64).
     highprec_digits
         Significant digits used on the cancellation path of the
         hypergeometric kernel (>= 50); fixed, not adaptive.
@@ -20,14 +18,11 @@ class PrecisionPolicy:
 
     target_abs_tol: float = 1e-11
     target_rel_tol: float = 1e-12
-    series_terms_max: int = 400
     highprec_digits: int = 50
 
     def __post_init__(self):
         if not (self.target_abs_tol > 0.0 and self.target_rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.series_terms_max < 64:
-            raise ValueError("series_terms_max must be >= 64")
         if self.highprec_digits < 50:
             raise ValueError("highprec_digits must be >= 50")
 

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import backend
 from .errors import DivergenceError
-from .policy import DEFAULT_POLICY, PrecisionPolicy
-from .specfun import ZeroTable, bessel_zeros, ln_gamma
+from .specfun import bessel_zeros, ln_gamma
 
 __all__ = [
     "QuadratureResult",
@@ -42,6 +41,11 @@ class QuadratureResult:
             raise ValueError("error estimate must be >= 0")
 
 
+# panels summed, and Wynn epsilon depth, in the oscillatory integrals
+_OSC_PANELS = 48
+_ACCEL_DEPTH = 12
+
+
 @dataclass(frozen=True)
 class OscillatoryPlan:
     """Partition and acceleration settings for an oscillatory tail."""
@@ -49,7 +53,7 @@ class OscillatoryPlan:
     alpha: float
     s: float
     breakpoints: tuple
-    acceleration_depth: int = 12
+    acceleration_depth: int = _ACCEL_DEPTH
 
     def __post_init__(self):
         if self.acceleration_depth < 4:
@@ -111,14 +115,13 @@ _TS_TMAX = 5.5
 _TS_MAX_LEVEL = 11
 
 
-def tanh_sinh(f, lo: float, hi: float, tol: float = 1e-12,
-              edges: bool = False) -> QuadratureResult:
+def tanh_sinh(f, lo: float, hi: float, tol: float = 1e-12) -> QuadratureResult:
     """Double-exponential quadrature on [lo, hi].
 
-    With edges=True the integrand is called f(x, dlo, dhi) where dlo/dhi
-    are the exact distances to the endpoints; algebraically singular
-    weights should use those instead of recomputing x - lo (which rounds
-    to zero near the boundary).
+    The integrand is called f(x, dlo, dhi) where dlo/dhi are the exact
+    distances to the endpoints; algebraically singular weights should use
+    those instead of recomputing x - lo (which rounds to zero near the
+    boundary).
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -137,12 +140,8 @@ def tanh_sinh(f, lo: float, hi: float, tol: float = 1e-12,
         if dudt < 1e-320:
             return 0.0
         u = math.tanh(w)
-        if edges:
-            vp = f(m + r * u, r * opu, r * omu)
-            vm = f(m - r * u, r * omu, r * opu) if t != 0.0 else 0.0
-        else:
-            vp = f(m + r * u)
-            vm = f(m - r * u) if t != 0.0 else 0.0
+        vp = f(m + r * u, r * opu, r * omu)
+        vm = f(m - r * u, r * omu, r * opu) if t != 0.0 else 0.0
         return dudt * (vp + vm)
 
     evals = 0
@@ -216,8 +215,7 @@ def wynn_epsilon(seq: Sequence[float]):
     return best, abs(best - best_prev) + 1e-16 * scale
 
 
-def fresnel_cos_moment(mu: float, tol: float = 1e-10,
-                       npanels: int = 48, depth: int = 12) -> QuadratureResult:
+def fresnel_cos_moment(mu: float, tol: float = 1e-10) -> QuadratureResult:
     """integral_0^inf z^{mu-1} cos z dz for 0 < mu < 1.
 
     Head on [0, pi/2] by tanh-sinh (algebraic singularity at 0), then
@@ -227,17 +225,17 @@ def fresnel_cos_moment(mu: float, tol: float = 1e-10,
     if not 0.0 < mu < 1.0:
         raise ValueError(f"need 0 < mu < 1, got {mu!r}")
     head = tanh_sinh(lambda x, dlo, dhi: dlo ** (mu - 1.0) * math.cos(dlo),
-                     0.0, 0.5 * math.pi, tol=min(tol, 1e-12), edges=True)
+                     0.0, 0.5 * math.pi, tol=min(tol, 1e-12))
     g = lambda z: z ** (mu - 1.0) * math.cos(z)
     total = 0.0
     psums = []
     evals = head.evaluations
-    for k in range(npanels):
+    for k in range(_OSC_PANELS):
         a = 0.5 * math.pi + k * math.pi
         total += _gl_panel(g, a, a + math.pi, 32)
         evals += 32
         psums.append(total)
-    window = min(len(psums), 2 * depth)
+    window = min(len(psums), 2 * _ACCEL_DEPTH)
     accel, est = wynn_epsilon(psums[-window:])
     est = est + head.abs_error_estimate
     return QuadratureResult(value=head.value + accel, abs_error_estimate=est,
@@ -256,10 +254,6 @@ def ws_rhs(alpha: float, s: float) -> float:
 
 
 def ws_integral(alpha: float, s: float, tol: float = 1e-9,
-                policy: PrecisionPolicy = DEFAULT_POLICY,
-                zeros: Optional[ZeroTable] = None,
-                npanels: int = 48,
-                acceleration_depth: int = 12,
                 breakpoints: Optional[Sequence[float]] = None) -> QuadratureResult:
     """integral_0^inf z^{-2s} J_alpha(z)^2 dz for 0 < s < alpha + 1/2.
 
@@ -267,16 +261,14 @@ def ws_integral(alpha: float, s: float, tol: float = 1e-9,
     (1/(pi z))(1 + (mu-1)/(8 z^2)) integrates in closed form over
     [j_1, inf); the oscillatory remainder is integrated panel-by-panel
     between consecutive zeros (split at midpoints) and its partial sums
-    are Wynn-accelerated.
+    are Wynn-accelerated.  `breakpoints`, when given, replaces that
+    partition; the value does not depend on it.
     """
     if not alpha > -0.5:
         raise ValueError(f"need alpha > -1/2, got {alpha!r}")
     if not 0.0 < s < alpha + 0.5:
         raise ValueError(f"s={s} outside the strip (0, {alpha + 0.5})")
-    if zeros is None:
-        zeros = bessel_zeros(alpha, npanels + 1, policy)
-    elif len(zeros) < npanels + 1:
-        raise ValueError("zero table too short for the requested panel count")
+    zeros = bessel_zeros(alpha, _OSC_PANELS + 1)
     mu = 4.0 * alpha * alpha
     j1 = zeros[0]
 
@@ -285,7 +277,7 @@ def ws_integral(alpha: float, s: float, tol: float = 1e-9,
     head = tanh_sinh(
         lambda x, dlo, dhi: c_head * math.exp((2.0 * alpha - 2.0 * s) * math.log(dlo))
         * backend.bessel_j_normalized(alpha, dlo) ** 2,
-        0.0, j1, tol=min(tol * 0.1, 1e-12), edges=True)
+        0.0, j1, tol=min(tol * 0.1, 1e-12))
 
     smooth = j1 ** (-2.0 * s) / (2.0 * math.pi * s) \
         + (mu - 1.0) / (8.0 * math.pi) * j1 ** (-2.0 * s - 2.0) / (2.0 * s + 2.0)
@@ -296,14 +288,13 @@ def ws_integral(alpha: float, s: float, tol: float = 1e-9,
 
     if breakpoints is None:
         bps = []
-        for i in range(npanels):
+        for i in range(_OSC_PANELS):
             a, b = zeros[i], zeros[i + 1]
             bps.extend((a, 0.5 * (a + b)))
-        bps.append(zeros[npanels])
+        bps.append(zeros[_OSC_PANELS])
     else:
         bps = [float(b) for b in breakpoints]
-    plan = OscillatoryPlan(alpha=alpha, s=s, breakpoints=tuple(bps),
-                           acceleration_depth=acceleration_depth)
+    plan = OscillatoryPlan(alpha=alpha, s=s, breakpoints=tuple(bps))
 
     total = 0.0
     psums = []

@@ -15,6 +15,7 @@ from functools import lru_cache
 from mpmath import libmp
 
 from . import backend
+from ._kernels_py import _LANCZOS_C, _LANCZOS_G
 from .errors import AccuracyError, BracketError
 from .policy import DEFAULT_POLICY, PrecisionPolicy
 
@@ -123,20 +124,6 @@ def rgamma(x: float) -> float:
     return s * math.exp(ln_gamma(1.0 - x)) / math.pi
 
 
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def ln_gamma_complex(z: complex) -> complex:
     """Principal-branch log Gamma for complex z off the poles."""
     z = complex(z)
@@ -188,11 +175,11 @@ def _bracket_zero(alpha: float, lo: float, hi: float, guess: float):
     fa, fb = f(a), f(b)
     for _ in range(60):
         if fa == 0.0:
-            return a, a, fa, fa
+            return a, a, fa
         if fb == 0.0:
-            return b, b, fb, fb
+            return b, b, fb
         if fa * fb < 0.0:
-            return a, b, fa, fb
+            return a, b, fa
         a = max(lo + 1e-12, a - width)
         b = b + width if hi == math.inf else min(hi - 1e-12, b + width)
         fa, fb = f(a), f(b)
@@ -200,7 +187,7 @@ def _bracket_zero(alpha: float, lo: float, hi: float, guess: float):
     raise BracketError(f"could not bracket zero near {guess} for alpha={alpha}")
 
 
-def _refine_zero(alpha: float, a: float, b: float, fa: float, fb: float) -> float:
+def _refine_zero(alpha: float, a: float, b: float, fa: float) -> float:
     """Newton inside a maintained sign bracket, bisection fallback."""
     if a == b:
         return a
@@ -210,7 +197,7 @@ def _refine_zero(alpha: float, a: float, b: float, fa: float, fb: float) -> floa
         if fx == 0.0:
             return x
         if fa * fx < 0.0:
-            b, fb = x, fx
+            b = x
         else:
             a, fa = x, fx
         d = backend.bessel_j_prime(alpha, x)
@@ -224,12 +211,14 @@ def _refine_zero(alpha: float, a: float, b: float, fa: float, fb: float) -> floa
     return x
 
 
-def bessel_zeros(order, count: int, policy: PrecisionPolicy = DEFAULT_POLICY) -> ZeroTable:
+@lru_cache(maxsize=128)
+def bessel_zeros(order, count: int) -> ZeroTable:
     """First `count` positive zeros of J_alpha.
 
     McMahon-type initial guesses refined by safeguarded Newton using
-    J' = (J_{alpha-1} - J_{alpha+1})/2; residuals satisfy
-    |J(z)| <= 10 * target_abs_tol.
+    J' = (J_{alpha-1} - J_{alpha+1})/2 inside a sign bracket; a zero is
+    accepted once the Newton step |dx| <= 5e-16 x.  Tables depend only on
+    (order, count) and are cached: repeated calls return the same table.
     """
     alpha = _order_alpha(order)
     if math.isnan(alpha) or not alpha > -1.0:
@@ -242,8 +231,8 @@ def bessel_zeros(order, count: int, policy: PrecisionPolicy = DEFAULT_POLICY) ->
         guess = _mcmahon_guess(alpha, n)
         if guess <= prev:
             guess = prev + 1.5
-        a, b, fa, fb = _bracket_zero(alpha, prev, math.inf, guess)
-        z = _refine_zero(alpha, a, b, fa, fb)
+        a, b, fa = _bracket_zero(alpha, prev, math.inf, guess)
+        z = _refine_zero(alpha, a, b, fa)
         if z <= prev:
             raise BracketError(f"zero ordering broke at n={n} for alpha={alpha}")
         zeros.append(z)
@@ -325,8 +314,12 @@ def _f2_pole_check(b: float, c: float):
             raise ValueError(f"1F2 parameter {name}={v} sits on a series pole")
 
 
+# number of correction terms kept in both large-x expansions
+_F2_KMAX = 14
+
+
 @lru_cache(maxsize=256)
-def _f2_osc_coeffs(a: float, b: float, c: float, kmax: int = 14) -> tuple:
+def _f2_osc_coeffs(a: float, b: float, c: float) -> tuple:
     """Coefficients g_k of the oscillatory expansion
     e^{2iu} u^nu sum_k g_k u^{-k} (u = sqrt(x)) solving the 1F2 ODE
     theta(theta+b-1)(theta+c-1) F + x (theta+a) F = 0, with g_0 = 1.
@@ -364,7 +357,7 @@ def _f2_osc_coeffs(a: float, b: float, c: float, kmax: int = 14) -> tuple:
     g = [1.0 + 0j]
     add(ode_apply(nu), g[0])
     # the power m+3 coefficient vanishes identically; g_k enters at nu-k+2
-    for k in range(1, kmax + 1):
+    for k in range(1, _F2_KMAX + 1):
         poly_k = ode_apply(nu - k)
         c_unknown = poly_k.get(nu - k + 2, 0)
         resid = eq.get(round(nu + 2 - k, 9), 0)
@@ -386,7 +379,7 @@ def f2_tail_profile(a: float, b: float, c: float) -> F2TailProfile:
 
 
 @lru_cache(maxsize=256)
-def _f2_alg_coeffs(a: float, b: float, c: float, kmax: int = 14) -> tuple:
+def _f2_alg_coeffs(a: float, b: float, c: float) -> tuple:
     """Parameter-only parts of the algebraic large-x expansion of
     1F2(a;b,c;-x): returns (pref, coeffs) with
     pref = Gamma(b) Gamma(c) / Gamma(a) and
@@ -398,7 +391,7 @@ def _f2_alg_coeffs(a: float, b: float, c: float, kmax: int = 14) -> tuple:
     coeffs = []
     sign = 1.0
     fact = 1.0
-    for k in range(kmax + 1):
+    for k in range(_F2_KMAX + 1):
         if k > 0:
             sign = -sign
             fact *= k
@@ -409,14 +402,14 @@ def _f2_alg_coeffs(a: float, b: float, c: float, kmax: int = 14) -> tuple:
     return pref, tuple(coeffs)
 
 
-def _f2_alg_series(a: float, b: float, c: float, x: float, kmax: int = 14):
+def _f2_alg_series(a: float, b: float, c: float, x: float):
     """Algebraic component of 1F2(a;b,c;-x) at large x (exact coefficients
     from the Mellin-Barnes residues); returns (value, trunc_bound)."""
-    pref, coeffs = _f2_alg_coeffs(a, b, c, kmax)
+    pref, coeffs = _f2_alg_coeffs(a, b, c)
     total = 0.0
     last = math.inf
     bound = 0.0
-    for k in range(kmax + 1):
+    for k in range(_F2_KMAX + 1):
         if k == len(coeffs):
             raise OverflowError("1F2 algebraic coefficient overflows a double")
         t = coeffs[k] * x ** (-a - k)

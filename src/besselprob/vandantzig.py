@@ -8,14 +8,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import rng
 from .backend import bessel_i_normalized, bessel_j_normalized
-from .policy import DEFAULT_POLICY, PrecisionPolicy
 from .specfun import ZeroTable, bessel_zeros, ln_gamma, zero_tail_power_sum
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "sample_hitting_time",
     "sample_subordinated",
     "verify_pair",
-    "self_reciprocal_check",
     "write_samples_csv",
 ]
 
@@ -76,11 +73,6 @@ def semicircle_cf_imag_axis(model: PowerSemicircle, t: float) -> float:
     return bessel_i_normalized(model.alpha, abs(t))
 
 
-@lru_cache(maxsize=64)
-def _zero_table(alpha: float, count: int) -> ZeroTable:
-    return bessel_zeros(alpha, count)
-
-
 def mean_hitting_time(alpha: float) -> float:
     """E[T] as the negative derivative of the closed-form transform at 0.
 
@@ -109,13 +101,12 @@ class HittingTimeModel:
     tail_mean: float
 
     @classmethod
-    def build(cls, alpha: float, truncation: int = 256,
-              policy: PrecisionPolicy = DEFAULT_POLICY) -> "HittingTimeModel":
+    def build(cls, alpha: float, truncation: int = 256) -> "HittingTimeModel":
         if math.isnan(alpha) or alpha <= -0.5 + _MIN_ALPHA_MARGIN:
             raise ValueError(f"need alpha > -1/2, got {alpha!r}")
         if truncation < 50:
             raise ValueError("truncation must be >= 50")
-        table = _zero_table(alpha, truncation)
+        table = bessel_zeros(alpha, truncation)
         partial = sum(2.0 / (z * z) for z in table.zeros)
         tail = mean_hitting_time(alpha) - partial
         if tail < 0.0:
@@ -158,7 +149,7 @@ def hadamard_cf(model: PowerSemicircle, z: float, truncation: int = 200,
     """
     if axis not in ("real", "imag"):
         raise ValueError(f"axis must be 'real' or 'imag', got {axis!r}")
-    table = _zero_table(model.alpha, truncation)
+    table = bessel_zeros(model.alpha, truncation)
     y = -z * z if axis == "real" else z * z
     log_prod = 0.0
     negative = False
@@ -250,8 +241,7 @@ _MC_EVAL_T = (0.5, 1.0, 2.0)
 
 
 def verify_pair(model: PowerSemicircle, grid: Sequence[float],
-                mc_count: int = 100_000, seed: int = 20260808,
-                truncation: int = 256) -> PairReport:
+                mc_count: int = 100_000, seed: int = 20260808) -> PairReport:
     """Three checks that 1/cf(it) is a genuine characteristic function
     forming a pair with cf(t):
 
@@ -281,7 +271,7 @@ def verify_pair(model: PowerSemicircle, grid: Sequence[float],
     gram = phi[idx]
     min_eig = float(np.linalg.eigvalsh(gram)[0])
 
-    htm = HittingTimeModel.build(model.alpha, truncation=truncation)
+    htm = HittingTimeModel.build(model.alpha)
     y = sample_subordinated(htm, seed, mc_count)
     zmax = 0.0
     for t in _MC_EVAL_T:
@@ -297,31 +287,6 @@ def verify_pair(model: PowerSemicircle, grid: Sequence[float],
     return PairReport(alpha=model.alpha, grid=ts, max_identity_error=id_err,
                       bochner_min_eigenvalue=min_eig, mc_cf_max_z_score=zmax,
                       mc_count=mc_count, seed=seed)
-
-
-def self_reciprocal_check(model: PowerSemicircle, grid: Sequence[float],
-                          zero_margin: float = 1e-6):
-    """max |g(t) g(it) - 1| over the grid for g = cf / cf(i*), skipping
-    points within zero_margin of a J zero (g has poles there).
-
-    Returns (max_deviation, skipped_points)."""
-    ts = [float(t) for t in grid if t > 0.0]
-    if not ts:
-        raise ValueError("grid must contain positive points")
-    table = _zero_table(model.alpha, int(max(ts) / math.pi) + 8)
-    zs = np.asarray(table.zeros)
-    worst = 0.0
-    skipped = []
-    for t in ts:
-        if np.min(np.abs(zs - t)) < zero_margin:
-            skipped.append(t)
-            continue
-        h_t = semicircle_cf(model, t)
-        h_it = semicircle_cf_imag_axis(model, t)
-        g_t = h_t / h_it
-        g_it = h_it / h_t
-        worst = max(worst, abs(g_t * g_it - 1.0))
-    return worst, skipped
 
 
 def write_samples_csv(path: str, values: Sequence[float]) -> None:

@@ -186,23 +186,11 @@ class TestSampleCommands:
         assert code == 2
 
 
-class TestDeterminismAcrossThreads:
-    def test_lommel_thread_counts(self, tmp_path):
-        texts = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"t{threads}.json"
-            code = run(["verify", "lommel", "--threads", threads,
-                        "--out", str(out)])
-            assert code == 0
-            texts.append(out.read_bytes())
-        assert texts[0] == texts[1]
-
-
 def test_manifest_contents(tmp_path):
     out = tmp_path / "m.json"
     assert run(["verify", "appendix", "--which", "fresnel", "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
     assert {"command", "seed", "precision", "versions", "wall_time_s",
-            "output_sha256", "threads"} <= set(manifest)
+            "output_sha256"} <= set(manifest)
     import hashlib
     assert manifest["output_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()

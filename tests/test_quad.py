@@ -42,33 +42,33 @@ class TestGaussLegendre:
 
 class TestTanhSinh:
     def test_sqrt_singularity(self):
-        r = quad.tanh_sinh(lambda x, dlo, dhi: dlo ** -0.5, 0.0, 1.0, 1e-12, edges=True)
+        r = quad.tanh_sinh(lambda x, dlo, dhi: dlo ** -0.5, 0.0, 1.0, 1e-12)
         assert r.value == pytest.approx(2.0, abs=1e-12)
         assert r.converged
 
     def test_symmetric_weight(self):
         r = quad.tanh_sinh(lambda x, dlo, dhi: (dlo * dhi) ** -0.4, -1.0, 1.0,
-                           1e-12, edges=True)
+                           1e-12)
         assert r.value == pytest.approx(BETA_M04, abs=1e-11)
 
     def test_weight_normalization_alpha_one(self):
         # (1-t^2)^{1/2} over (-1,1) = pi/2
         r = quad.tanh_sinh(lambda x, dlo, dhi: (dlo * dhi) ** 0.5, -1.0, 1.0,
-                           1e-12, edges=True)
+                           1e-12)
         assert r.value == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_smooth(self):
-        r = quad.tanh_sinh(lambda x: math.exp(-x * x), -3.0, 3.0, 1e-12)
+        r = quad.tanh_sinh(lambda x, dlo, dhi: math.exp(-x * x), -3.0, 3.0, 1e-12)
         assert r.value == pytest.approx(math.sqrt(math.pi) * math.erf(3.0), abs=1e-12)
 
     def test_divergence_detected(self):
         with pytest.raises(DivergenceError):
-            quad.tanh_sinh(lambda x, dlo, dhi: dlo ** -1.2, 0.0, 1.0, 1e-10, edges=True)
+            quad.tanh_sinh(lambda x, dlo, dhi: dlo ** -1.2, 0.0, 1.0, 1e-10)
 
     def test_rerun_within_estimate(self):
         f = lambda x, dlo, dhi: math.cos(2.0 * x) * dlo ** -0.3
-        r1 = quad.tanh_sinh(f, 0.0, 2.0, 1e-8, edges=True)
-        r2 = quad.tanh_sinh(f, 0.0, 2.0, 1e-9, edges=True)
+        r1 = quad.tanh_sinh(f, 0.0, 2.0, 1e-8)
+        r2 = quad.tanh_sinh(f, 0.0, 2.0, 1e-9)
         assert r1.converged
         assert abs(r1.value - r2.value) <= max(r1.abs_error_estimate, 1e-15)
 
@@ -160,10 +160,16 @@ class TestWsIntegral:
         for i in range(48):
             a, b = zeros[i], zeros[i + 1]
             bps.extend((a + 0.25 * (b - a), a + 0.75 * (b - a)))
-        shifted = quad.ws_integral(alpha, s, tol=1e-9, zeros=zeros,
-                                   breakpoints=[zeros[0]] + bps)
+        shifted = quad.ws_integral(alpha, s, tol=1e-9, breakpoints=[zeros[0]] + bps)
         assert abs(base.value - shifted.value) <= max(
             base.abs_error_estimate + shifted.abs_error_estimate, 1e-11)
+
+    def test_zero_table_built_once_per_alpha(self):
+        specfun.bessel_zeros.cache_clear()
+        quad.ws_integral(1.35, 0.4, tol=1e-8)
+        quad.ws_integral(1.35, 0.9, tol=1e-8)
+        info = specfun.bessel_zeros.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):

@@ -208,6 +208,12 @@ class TestZeros:
         gaps = [b - a for a, b in zip(table.zeros[-6:], table.zeros[-5:])]
         assert all(abs(g - math.pi) < 0.01 for g in gaps)
 
+    def test_table_cached_per_order_and_count(self):
+        assert specfun.bessel_zeros(1.25, 40) is specfun.bessel_zeros(1.25, 40)
+        assert specfun.bessel_zeros(1.25, 41) is not specfun.bessel_zeros(1.25, 40)
+        specfun.bessel_zeros.cache_clear()
+        assert specfun.bessel_zeros.cache_info().currsize == 0
+
     def test_zero_table_validation(self):
         with pytest.raises(ValueError):
             specfun.ZeroTable(alpha=0.0, zeros=(2.0, 1.0))
@@ -377,6 +383,13 @@ class TestHyp1F2:
             want = float(mp.hyp1f2(a, b, c, x))
         assert abs(v - want) <= max(bound, 1e-15 * abs(want))
         assert specfun.hyp1f2(a, b, c, x) == v
+
+    def test_large_x_coefficients_cached_once(self):
+        specfun._f2_alg_coeffs.cache_clear()
+        specfun._f2_osc_coeffs.cache_clear()
+        specfun.hyp1f2_with_bound(1.3, 2.0, 2.4, -400.0)
+        assert specfun._f2_alg_coeffs.cache_info().currsize == 1
+        assert specfun._f2_osc_coeffs.cache_info().currsize == 1
 
     def test_pole_rejected(self):
         with pytest.raises(ValueError):
