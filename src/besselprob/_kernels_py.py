@@ -1,17 +1,19 @@
 """Pure-Python scalar kernels: log-gamma, digamma, Bessel J/I, 1F2 series.
 
 This module is the fallback backend for the compiled extension
-(`_kernels_cy`).  Both expose the functions in `__all__` with the same
-signatures; see `besselprob.backend` for the selection logic.  The inverse
-normal CDF is not a scalar kernel: both backends use the numpy array
-version in `besselprob._normal` (the extension's own scalar
-`normal_inv_cdf` is no longer bound).  Everything here is scalar, pure and
-reentrant.
+(`_kernels_cy`).  Both expose the scalar functions in `__all__` with the
+same signatures; see `besselprob.backend` for the selection logic.  Two
+kernels work on arrays and serve both backends: the inverse normal CDF in
+`besselprob._normal` (the extension's own scalar `normal_inv_cdf` is no
+longer bound) and `bessel_j_array` here, which returns the values of the
+scalar `bessel_j` bit for bit.  Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = [
     "ln_gamma",
@@ -19,6 +21,7 @@ __all__ = [
     "bessel_i_normalized",
     "digamma",
     "bessel_j",
+    "bessel_j_array",
     "bessel_j_series",
     "bessel_j_asymptotic",
     "bessel_j_prime",
@@ -98,25 +101,49 @@ def j_crossover(alpha: float) -> float:
 _MAX_SERIES_TERMS = 400
 
 
-def _half_integer_k(alpha: float, z: float) -> int:
-    """Return k for alpha = k + 1/2 with k in [-1, 6], else -2.
+# Stopping rules and the route switch shared by `bessel_j` and
+# `bessel_j_array`.
+_HANKEL_TERMS = 40          # the P/Q sums stop before term k = 40 ...
+_HANKEL_TINY = 1e-18        # ... or at a term this small, or growing
+_SERIES_STOP = 1e-17        # the series stops at a term this small relative to its sum
+_SERIES_BOUND_MAX = 2e-11   # a larger series bound hands over to the 50-digit series
 
-    The trigonometric closed forms use k forward recurrence steps, which
-    amplify rounding by ~(2k-1)!! (2/z)^k; only safe once z outgrows k.
-    """
+
+def _half_integer_order(alpha: float) -> int:
+    """Return k for alpha = k + 1/2 with k in [-1, 6], else -2."""
     k = math.floor(alpha)
-    if alpha - k == 0.5 and -1 <= k <= 6 and (k < 1 or z >= 2.0 * k + 2.0):
+    if alpha - k == 0.5 and -1 <= k <= 6:
         return int(k)
     return -2
 
 
-def _bessel_j_half(k: int, z: float) -> float:
-    # closed trigonometric forms; forward recurrence is safe for k <= 6
-    c = math.sqrt(2.0 / (math.pi * z))
+def _half_integer_safe(k: int, z):
+    """Whether the closed form of order k + 1/2 may be used at z (a float,
+    or elementwise for an array).
+
+    The trigonometric closed forms use k forward recurrence steps, which
+    amplify rounding by ~(2k-1)!! (2/z)^k; only safe once z outgrows k.
+    """
+    return (k < 1) | (z >= 2.0 * k + 2.0)
+
+
+def _half_integer_k(alpha: float, z: float) -> int:
+    """Return k for alpha = k + 1/2 with k in [-1, 6] when the closed form
+    is safe at z, else -2."""
+    k = _half_integer_order(alpha)
+    if k != -2 and _half_integer_safe(k, z):
+        return k
+    return -2
+
+
+def _bessel_j_half(k: int, z, xp=math):
+    # closed trigonometric forms; forward recurrence is safe for k <= 6.
+    # xp is math for a float z, numpy for an array.
+    c = xp.sqrt(2.0 / (math.pi * z))
     if k == -1:
-        return c * math.cos(z)
-    jm = c * math.cos(z)          # J_{-1/2}
-    jc = c * math.sin(z)          # J_{+1/2}
+        return c * xp.cos(z)
+    jm = c * xp.cos(z)          # J_{-1/2}
+    jc = c * xp.sin(z)          # J_{+1/2}
     nu = 0.5
     for _ in range(k):
         jm, jc = jc, (2.0 * nu / z) * jc - jm
@@ -156,9 +183,44 @@ def _bessel_j_series_bound(alpha: float, z: float) -> tuple[float, float]:
         t = total + y
         comp = (t - total) - y
         total = t
-        if at <= 1e-17 * (abs(total) + 1e-300):
+        if at <= _SERIES_STOP * (abs(total) + 1e-300):
             break
     return total, 4e-16 * max_term
+
+
+def _bessel_j_series_bound_array(alpha: float, z: np.ndarray) -> tuple:
+    """`_bessel_j_series_bound` elementwise, with its stopping rule as a
+    mask of the elements still summing."""
+    half = 0.5 * z
+    lg = ln_gamma(alpha + 1.0)
+    term = np.array([math.exp(alpha * math.log(h) - lg) for h in half.tolist()])
+    ratio = -half * half
+    total = term
+    comp = np.zeros_like(z)
+    max_term = np.abs(term)
+    out_total = np.empty_like(z)
+    out_max = np.empty_like(z)
+    live = np.arange(z.size)
+    for n in range(1, _MAX_SERIES_TERMS):
+        term = term * (ratio / (n * (n + alpha)))
+        at = np.abs(term)
+        max_term = np.where(at > max_term, at, max_term)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        done = at <= _SERIES_STOP * (np.abs(total) + 1e-300)
+        if done.any():
+            out_total[live[done]] = total[done]
+            out_max[live[done]] = max_term[done]
+            go = ~done
+            live, term, ratio, total, comp, max_term = (
+                v[go] for v in (live, term, ratio, total, comp, max_term))
+            if not live.size:
+                break
+    out_total[live] = total
+    out_max[live] = max_term
+    return out_total, 4e-16 * out_max
 
 
 def bessel_j_series(alpha: float, z: float) -> float:
@@ -181,10 +243,10 @@ def _hankel_pq(alpha: float, z: float) -> tuple[float, float]:
     term = 1.0
     eight_z = 8.0 * z
     prev = math.inf
-    for k in range(1, 40):
+    for k in range(1, _HANKEL_TERMS):
         term *= (mu - (2.0 * k - 1.0) ** 2) / (k * eight_z)
         at = abs(term)
-        if at >= prev or at < 1e-18:
+        if at >= prev or at < _HANKEL_TINY:
             break
         prev = at
         r = k % 4
@@ -199,11 +261,48 @@ def _hankel_pq(alpha: float, z: float) -> tuple[float, float]:
     return p, q
 
 
+def _hankel_pq_array(alpha: float, z: np.ndarray) -> tuple:
+    """`_hankel_pq` elementwise, with its stopping rule as a mask of the
+    elements still summing."""
+    mu = 4.0 * alpha * alpha
+    p = np.ones_like(z)
+    q = np.zeros_like(z)
+    term = p
+    eight_z = 8.0 * z
+    prev = np.full_like(z, math.inf)
+    live = np.arange(z.size)
+    for k in range(1, _HANKEL_TERMS):
+        term = term * ((mu - (2.0 * k - 1.0) ** 2) / (k * eight_z))
+        at = np.abs(term)
+        go = ~((at >= prev) | (at < _HANKEL_TINY))
+        if not go.all():
+            live, term, at, eight_z = live[go], term[go], at[go], eight_z[go]
+            if not live.size:
+                break
+        prev = at
+        r = k % 4
+        if r == 0:
+            p[live] += term
+        elif r == 1:
+            q[live] += term
+        elif r == 2:
+            p[live] -= term
+        else:
+            q[live] -= term
+    return p, q
+
+
+def _hankel_form(alpha: float, z, p, q, xp=math):
+    """sqrt(2/(pi z)) (P cos w - Q sin w); xp is math for a float z, numpy
+    for an array."""
+    w = z - alpha * math.pi / 2.0 - math.pi / 4.0
+    return xp.sqrt(2.0 / (math.pi * z)) * (p * xp.cos(w) - q * xp.sin(w))
+
+
 def bessel_j_asymptotic(alpha: float, z: float) -> float:
     """Large-argument form sqrt(2/(pi z)) (P cos w - Q sin w)."""
     p, q = _hankel_pq(alpha, z)
-    w = z - alpha * math.pi / 2.0 - math.pi / 4.0
-    return math.sqrt(2.0 / (math.pi * z)) * (p * math.cos(w) - q * math.sin(w))
+    return _hankel_form(alpha, z, p, q)
 
 
 def bessel_j(alpha: float, z: float) -> float:
@@ -222,11 +321,62 @@ def bessel_j(alpha: float, z: float) -> float:
     if z >= j_crossover(alpha):
         return bessel_j_asymptotic(alpha, z)
     val, bound = _bessel_j_series_bound(alpha, z)
-    if bound <= 2e-11:
+    if bound <= _SERIES_BOUND_MAX:
         return val
     from . import _highprec
 
     return _highprec.bessel_j_mp(alpha, z)
+
+
+def bessel_j_array(alpha: float, z) -> np.ndarray:
+    """J_alpha(z) for alpha > -1 and every element of an array of finite
+    z >= 0; an array of z's shape, equal bit for bit to `bessel_j` at
+    each element.
+
+    Each element takes the route `bessel_j` takes for it (zero, the
+    half-integer closed form, the Hankel expansion from `j_crossover`, the
+    series, the 50-digit series past `_SERIES_BOUND_MAX`).  The stopping
+    rules of the Hankel sums and the series are masks of the elements
+    still summing, so every element sees the scalar operations in the
+    scalar order.  exp and log run per element in `math`: numpy's SIMD
+    versions round differently from libm at some points.  cos, sin and
+    sqrt come from numpy, which matched libm at every point tried.
+    """
+    if not alpha > -1.0 or math.isnan(alpha):
+        raise ValueError(f"bessel_j requires alpha > -1, got {alpha!r}")
+    z = np.asarray(z, dtype=float)
+    flat = z.ravel()
+    bad = (flat < 0.0) | (flat == math.inf) | ((flat == 0.0) & (alpha < 0.0))
+    if bad.any():
+        v = float(flat[bad][0])
+        if v == 0.0:
+            raise ZeroDivisionError("J_alpha(0) is singular for alpha < 0")
+        raise ValueError(f"bessel_j requires finite z >= 0, got {v!r}")
+    zero = flat == 0.0
+    out = np.where(zero & (alpha == 0.0), 1.0, 0.0)
+    todo = ~zero
+    if todo.any():
+        k = _half_integer_order(alpha)
+        if k != -2:
+            half = todo & _half_integer_safe(k, flat)
+            out[half] = _bessel_j_half(k, flat[half], np)
+            todo &= ~half
+        asym = todo & (flat >= j_crossover(alpha))
+        if asym.any():
+            za = flat[asym]
+            p, q = _hankel_pq_array(alpha, za)
+            out[asym] = _hankel_form(alpha, za, p, q, np)
+        series = todo & ~asym
+        if series.any():
+            zs = flat[series]
+            val, bound = _bessel_j_series_bound_array(alpha, zs)
+            far = ~(bound <= _SERIES_BOUND_MAX)
+            if far.any():
+                from . import _highprec
+
+                val[far] = [_highprec.bessel_j_mp(alpha, v) for v in zs[far].tolist()]
+            out[series] = val
+    return out.reshape(z.shape)
 
 
 def bessel_j_prime(alpha: float, z: float) -> float:

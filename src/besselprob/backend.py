@@ -1,15 +1,18 @@
 """Kernel backend selection: compiled extension when available, pure Python
 otherwise.
 
-Set BESSELPROB_PURE_PYTHON=1 to force the fallback.  The inverse normal CDF
-is an array kernel (numpy, AS241) shared by both backends.
+Set BESSELPROB_PURE_PYTHON=1 to force the fallback.  Two array kernels
+(numpy) are shared by both backends: the inverse normal CDF (AS241) and
+`bessel_j_array`, which equals the pure-Python scalar `bessel_j` bit for
+bit at every element.
 """
 
 from __future__ import annotations
 
 import os
 
-from ._normal import normal_inv_cdf  # array kernel, the same for both backends
+from ._kernels_py import bessel_j_array  # array kernels, the same for both backends
+from ._normal import normal_inv_cdf
 
 if os.environ.get("BESSELPROB_PURE_PYTHON", "") not in ("", "0"):
     from . import _kernels_py as kernels

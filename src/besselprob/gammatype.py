@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import quad
+from . import quad, rng
 from .errors import AccuracyError
 from .policy import DEFAULT_POLICY, PrecisionPolicy
 from .specfun import (
@@ -903,7 +903,13 @@ def sample_ratio_product(spec: GammaRatioSpec, seed: int, count: int) -> np.ndar
     """Draws from the Beta-Gamma factorization available when p <= 1 and
     q <= 1: numerator Beta(a1, c1-a1) * Gammas(a2..), denominator the same
     with (b, d).  Conventions: a missing lower entry means no Beta factor;
-    Beta(a, 0) is the constant 1."""
+    Beta(a, 0) is the constant 1.
+
+    Each block of `rng.BLOCK` sample indices draws from its own substream
+    (`rng.block_generator`), so a prefix of a longer draw is the shorter
+    draw.  Every factor takes a full block of variates, even in a short
+    last block: numpy's beta and gamma samplers reject, so the raw draws
+    a variate consumes vary, and a shorter factor would shift the next."""
     n, m, p, q = spec.sizes
     if p > 1 or q > 1:
         raise ValueError("factorized sampling needs p <= 1 and q <= 1")
@@ -913,20 +919,23 @@ def sample_ratio_product(spec: GammaRatioSpec, seed: int, count: int) -> np.ndar
         raise ValueError("denominator Beta needs b1 <= d1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    gen = np.random.Generator(np.random.Philox(key=seed))
 
-    def side(entries: tuple, lower: tuple) -> np.ndarray:
-        out = np.ones(count)
+    def side(gen: np.random.Generator, entries: tuple, lower: tuple) -> np.ndarray:
+        out = np.ones(rng.BLOCK)
         start = 0
         if lower:
             beta_b = lower[0] - entries[0]
             if beta_b > 1e-15:
-                out *= gen.beta(entries[0], beta_b, size=count)
+                out *= gen.beta(entries[0], beta_b, size=rng.BLOCK)
             start = 1
         for e in entries[start:]:
-            out *= gen.standard_gamma(e, size=count)
+            out *= gen.standard_gamma(e, size=rng.BLOCK)
         return out
 
-    num = side(spec.a, spec.c)
-    den = side(spec.b, spec.d)
-    return num / den
+    values = np.empty(count)
+    for b, rows in rng.block_rows(count):
+        gen = rng.block_generator(seed, b)
+        num = side(gen, spec.a, spec.c)
+        den = side(gen, spec.b, spec.d)
+        values[rows] = (num / den)[:rows.stop - rows.start]
+    return values

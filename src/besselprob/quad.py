@@ -19,7 +19,6 @@ from .specfun import bessel_zeros, ln_gamma
 
 __all__ = [
     "QuadratureResult",
-    "OscillatoryPlan",
     "gauss_legendre",
     "tanh_sinh",
     "wynn_epsilon",
@@ -46,25 +45,6 @@ _OSC_PANELS = 48
 _ACCEL_DEPTH = 12
 
 
-@dataclass(frozen=True)
-class OscillatoryPlan:
-    """Partition and acceleration settings for an oscillatory tail."""
-
-    alpha: float
-    s: float
-    breakpoints: tuple
-    acceleration_depth: int = _ACCEL_DEPTH
-
-    def __post_init__(self):
-        if self.acceleration_depth < 4:
-            raise ValueError("acceleration_depth must be >= 4")
-        bp = tuple(float(b) for b in self.breakpoints)
-        object.__setattr__(self, "breakpoints", bp)
-        for a, b in zip(bp, bp[1:]):
-            if not b > a:
-                raise ValueError("breakpoints must be strictly increasing")
-
-
 @lru_cache(maxsize=8)
 def _gl_nodes(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
@@ -76,6 +56,17 @@ def _gl_panel(f, lo: float, hi: float, n: int) -> float:
     m = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo)
     return r * math.fsum(w * f(m + r * x) for x, w in zip(xs, ws))
+
+
+def _gl_panels(f, edges: np.ndarray, n: int) -> list:
+    """`_gl_panel` on every panel [edges[i], edges[i+1]] at once, with the
+    same values: f maps the (panels, n) array of nodes to their integrand
+    values in one call, and each panel is still summed by `math.fsum`."""
+    xs, ws = _gl_nodes(n)
+    m = 0.5 * (edges[:-1] + edges[1:])
+    r = 0.5 * (edges[1:] - edges[:-1])
+    weighted = np.array(ws) * f(m[:, None] + r[:, None] * np.array(xs))
+    return [ri * math.fsum(row) for ri, row in zip(r.tolist(), weighted.tolist())]
 
 
 _MAX_GL_PANELS = 2048
@@ -262,7 +253,13 @@ def ws_integral(alpha: float, s: float, tol: float = 1e-9,
     [j_1, inf); the oscillatory remainder is integrated panel-by-panel
     between consecutive zeros (split at midpoints) and its partial sums
     are Wynn-accelerated.  `breakpoints`, when given, replaces that
-    partition; the value does not depend on it.
+    partition (ValueError unless strictly increasing); the value does not
+    depend on it.
+
+    All 32-point panel nodes go through one `backend.bessel_j_array` call,
+    whose values equal the scalar kernel's bit for bit; `z^{-2s}` is taken
+    per node in `math` (numpy's SIMD pow rounds differently), and each
+    panel is summed by `math.fsum` as before.
     """
     if not alpha > -0.5:
         raise ValueError(f"need alpha > -1/2, got {alpha!r}")
@@ -282,9 +279,12 @@ def ws_integral(alpha: float, s: float, tol: float = 1e-9,
     smooth = j1 ** (-2.0 * s) / (2.0 * math.pi * s) \
         + (mu - 1.0) / (8.0 * math.pi) * j1 ** (-2.0 * s - 2.0) / (2.0 * s + 2.0)
 
-    def remainder(z: float) -> float:
-        jj = backend.bessel_j(alpha, z)
-        return z ** (-2.0 * s) * (jj * jj - (1.0 + (mu - 1.0) / (8.0 * z * z)) / (math.pi * z))
+    power = -2.0 * s
+
+    def remainder(z: np.ndarray) -> np.ndarray:
+        jj = backend.bessel_j_array(alpha, z)
+        zp = np.array([v ** power for v in z.ravel().tolist()]).reshape(z.shape)
+        return zp * (jj * jj - (1.0 + (mu - 1.0) / (8.0 * z * z)) / (math.pi * z))
 
     if breakpoints is None:
         bps = []
@@ -294,16 +294,17 @@ def ws_integral(alpha: float, s: float, tol: float = 1e-9,
         bps.append(zeros[_OSC_PANELS])
     else:
         bps = [float(b) for b in breakpoints]
-    plan = OscillatoryPlan(alpha=alpha, s=s, breakpoints=tuple(bps))
+    edges = np.array(bps)
+    if not (edges[1:] > edges[:-1]).all():
+        raise ValueError("breakpoints must be strictly increasing")
 
     total = 0.0
     psums = []
-    evals = head.evaluations
-    for a, b in zip(plan.breakpoints, plan.breakpoints[1:]):
-        total += _gl_panel(remainder, a, b, 32)
-        evals += 32
+    for panel in _gl_panels(remainder, edges, 32):
+        total += panel
         psums.append(total)
-    window = min(len(psums), 2 * plan.acceleration_depth)
+    evals = head.evaluations + 32 * len(psums)
+    window = min(len(psums), 2 * _ACCEL_DEPTH)
     accel, est = wynn_epsilon(psums[-window:])
     est = est + head.abs_error_estimate + 1e-15 * abs(smooth)
     value = head.value + smooth + accel

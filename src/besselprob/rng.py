@@ -33,14 +33,20 @@ def exponential_from_uniform(u: np.ndarray) -> np.ndarray:
     return np.negative(e, out=e)
 
 
+def block_rows(count: int):
+    """Yield (block index, rows) per block of sample indices, rows being a
+    slice of range(count)."""
+    for b in range((count + BLOCK - 1) // BLOCK):
+        lo = b * BLOCK
+        yield b, slice(lo, min(lo + BLOCK, count))
+
+
 def blocks(seed: int, count: int, per_sample: int):
     """Yield (rows, uniforms) per block of sample indices: a slice of
     range(count) and the block's (len(rows), per_sample) uniforms, so a
     caller can transform and reduce one block before drawing the next."""
-    for b in range((count + BLOCK - 1) // BLOCK):
-        lo = b * BLOCK
-        hi = min(lo + BLOCK, count)
-        yield slice(lo, hi), block_generator(seed, b).random((hi - lo, per_sample))
+    for b, rows in block_rows(count):
+        yield rows, block_generator(seed, b).random((rows.stop - rows.start, per_sample))
 
 
 def uniform_blocks(seed: int, count: int, per_sample: int) -> np.ndarray:

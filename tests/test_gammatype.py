@@ -446,6 +446,14 @@ class TestRatioProductSampling:
         se = emp.std(ddof=1) / math.sqrt(len(xs))
         assert abs(emp.mean() - gt.mellin(sp, -0.5)) <= 3.0 * se
 
+    def test_prefix_stability_unaligned_counts(self):
+        # per-block substreams: the short draw ends inside the third block,
+        # which the long draw fills completely
+        sp = gt.GammaRatioSpec(a=(1.0, 2.0), c=(3.0,))
+        big = gt.sample_ratio_product(sp, seed=5, count=20_000)
+        small = gt.sample_ratio_product(sp, seed=5, count=9_000)
+        assert np.array_equal(big[:9_000], small)
+
     def test_shape_guards(self):
         with pytest.raises(ValueError):
             gt.sample_ratio_product(gt.GammaRatioSpec(a=(1.0,), c=(2.0, 3.0)), 1, 10)

@@ -172,11 +172,28 @@ class TestWsIntegral:
         assert (info.misses, info.hits) == (1, 1)
 
     def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            quad.OscillatoryPlan(alpha=0.5, s=0.2, breakpoints=(1.0, 2.0),
-                                 acceleration_depth=2)
-        with pytest.raises(ValueError):
-            quad.OscillatoryPlan(alpha=0.5, s=0.2, breakpoints=(2.0, 1.0))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            quad.ws_integral(0.5, 0.2, breakpoints=(2.0, 1.0))
+
+    # (value, abs_error_estimate) as float.hex, and evaluations, recorded
+    # when every panel node was a scalar `bessel_j` call
+    FROZEN_BITS = [
+        ((0.5, 0.25), False, ("0x1.20dd750429b6dp+0", "0x1.0fe262e08d372p-51", 3249)),
+        ((1.0, 0.4), False, ("0x1.288d909f82721p-1", "0x1.10c29114f0f13p-43", 3249)),
+        ((1.0, 0.4), True, ("0x1.288d909f836d4p-1", "0x1.9a768c245c65ep-46", 3249)),
+        ((2.37, 1.1), False, ("0x1.8951416fe9176p-5", "0x1.3d36ecbc6a8efp-47", 3249)),
+    ]
+
+    @pytest.mark.parametrize("args, shifted, want", FROZEN_BITS)
+    def test_frozen_bits(self, args, shifted, want):
+        # shifted: every interior breakpoint a quarter gap off the default
+        kw = {}
+        if shifted:
+            zeros = specfun.bessel_zeros(args[0], 49)
+            kw["breakpoints"] = [zeros[0]] + [zeros[i] + f * (zeros[i + 1] - zeros[i])
+                                              for i in range(48) for f in (0.25, 0.75)]
+        r = quad.ws_integral(*args, tol=1e-9, **kw)
+        assert (r.value.hex(), r.abs_error_estimate.hex(), r.evaluations) == want
 
 
 def test_quadrature_result_validation():

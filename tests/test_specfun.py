@@ -146,6 +146,81 @@ class TestNormalInvCdf:
             backend.normal_inv_cdf(bad)
 
 
+def _bits(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def _order_and_arguments(draw):
+    """An order and a list of z >= 0 that straddles each route switch of
+    `bessel_j` at that order: the half-integer closed forms (k = -1..6, safe
+    from z = 2k + 2 for k >= 1), the Hankel expansion from `j_crossover`
+    (14, or alpha^2/4 + 2 above alpha = 6.93), and for alpha >= 8 the
+    series bound's hand-over to the 50-digit series."""
+    alpha = draw(st.one_of(
+        st.integers(-1, 6).map(lambda k: k + 0.5),
+        st.floats(-0.99, -0.01),
+        st.floats(0.0, 6.9),
+        st.floats(6.95, 13.0)))
+    cross = _kernels_py.j_crossover(alpha)
+    switches = [cross]
+    k = math.floor(alpha)
+    if alpha - k == 0.5 and k >= 1:
+        switches.append(2.0 * k + 2.0)
+    if alpha >= 8.0:
+        # the 50-digit hand-over: bisect for the z where the series bound
+        # first exceeds it
+        lo, hi = 1.0, 0.95 * cross
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if _kernels_py._bessel_j_series_bound(alpha, mid)[1] > 2e-11:
+                hi = mid
+            else:
+                lo = mid
+        switches += [hi, 0.95 * cross]
+    z = draw(st.lists(st.floats(1e-3, 1.5 * cross), min_size=1, max_size=16))
+    for edge in switches:
+        eps = draw(st.floats(1e-12, 0.05))
+        z += [edge, math.nextafter(edge, 0.0), edge * (1.0 - eps), edge * (1.0 + eps)]
+    if alpha >= 0.0 and draw(st.booleans()):
+        z.append(0.0)
+    return alpha, draw(st.permutations(z))
+
+
+class TestBesselJArray:
+    # the array kernel bound for every backend
+    def test_bound_for_every_backend(self):
+        assert backend.bessel_j_array is _kernels_py.bessel_j_array
+
+    @settings(max_examples=60, deadline=None)
+    @given(_order_and_arguments())
+    def test_equals_scalar_bit_for_bit(self, case):
+        alpha, z = case
+        want = [_kernels_py.bessel_j(alpha, v) for v in z]
+        assert _bits(backend.bessel_j_array(alpha, z)) == _bits(want)
+        if alpha >= 8.0:
+            # the 50-digit route really ran for some element
+            assert any(_kernels_py._bessel_j_series_bound(alpha, v)[1] > 2e-11
+                       for v in z if 0.0 < v < _kernels_py.j_crossover(alpha))
+
+    def test_shape_preserved(self):
+        z = np.linspace(0.0, 30.0, 12).reshape(3, 4)
+        got = backend.bessel_j_array(1.3, z)
+        assert got.shape == (3, 4)
+        assert _bits(got.ravel()) == _bits(_kernels_py.bessel_j(1.3, v) for v in z.ravel())
+        assert backend.bessel_j_array(1.3, np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("alpha, z", [
+        (-1.0, [1.0]), (-1.5, [1.0]), (math.nan, [1.0]), (-math.inf, [1.0]),
+        (1.0, [2.0, -0.5]), (-0.3, [1.0, 0.0, 2.0]), (0.5, [3.0, -1.0, 0.0]),
+    ])
+    def test_domain_raises_scalar_exception(self, alpha, z):
+        with pytest.raises(Exception) as scalar:
+            [_kernels_py.bessel_j(alpha, v) for v in z]
+        with pytest.raises(scalar.type):
+            backend.bessel_j_array(alpha, z)
+
+
 def test_bessel_j_vs_series_oracle():
     for alpha in (-0.4, 0.3, 1.0, 2.2, 5.5):
         for z in (0.05, 1.0, 7.7, 13.0):
