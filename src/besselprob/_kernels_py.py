@@ -305,12 +305,18 @@ def bessel_j_asymptotic(alpha: float, z: float) -> float:
     return _hankel_form(alpha, z, p, q)
 
 
+def _require_finite_z(name: str, z: float) -> None:
+    """Raise the domain error for an argument that is negative, infinite
+    or NaN."""
+    if not 0.0 <= z < math.inf:
+        raise ValueError(f"{name} requires finite z >= 0, got {z!r}")
+
+
 def bessel_j(alpha: float, z: float) -> float:
-    """J_alpha(z) for alpha > -1, z >= 0."""
+    """J_alpha(z) for alpha > -1, finite z >= 0."""
     if not alpha > -1.0 or math.isnan(alpha):
         raise ValueError(f"bessel_j requires alpha > -1, got {alpha!r}")
-    if z < 0.0:
-        raise ValueError(f"bessel_j requires z >= 0, got {z!r}")
+    _require_finite_z("bessel_j", z)
     if z == 0.0:
         if alpha < 0.0:
             raise ZeroDivisionError("J_alpha(0) is singular for alpha < 0")
@@ -346,12 +352,12 @@ def bessel_j_array(alpha: float, z) -> np.ndarray:
         raise ValueError(f"bessel_j requires alpha > -1, got {alpha!r}")
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
-    bad = (flat < 0.0) | (flat == math.inf) | ((flat == 0.0) & (alpha < 0.0))
+    bad = ~((flat >= 0.0) & (flat < math.inf)) | ((flat == 0.0) & (alpha < 0.0))
     if bad.any():
         v = float(flat[bad][0])
         if v == 0.0:
             raise ZeroDivisionError("J_alpha(0) is singular for alpha < 0")
-        raise ValueError(f"bessel_j requires finite z >= 0, got {v!r}")
+        _require_finite_z("bessel_j", v)
     zero = flat == 0.0
     out = np.where(zero & (alpha == 0.0), 1.0, 0.0)
     todo = ~zero
@@ -380,11 +386,12 @@ def bessel_j_array(alpha: float, z) -> np.ndarray:
 
 
 def bessel_j_prime(alpha: float, z: float) -> float:
-    """J_alpha'(z) via (J_{alpha-1} - J_{alpha+1}) / 2 (z > 0).
+    """J_alpha'(z) via (J_{alpha-1} - J_{alpha+1}) / 2 (finite z > 0).
 
     For alpha <= 0 the order alpha-1 leaves the supported range, so the
     equivalent recurrence form (alpha/z) J_alpha - J_{alpha+1} is used.
     """
+    _require_finite_z("bessel_j_prime", z)
     if alpha > 0.0:
         return 0.5 * (bessel_j(alpha - 1.0, z) - bessel_j(alpha + 1.0, z))
     return (alpha / z) * bessel_j(alpha, z) - bessel_j(alpha + 1.0, z)
@@ -395,8 +402,7 @@ def bessel_j_normalized(alpha: float, z: float) -> float:
     form, equal to 1 at z = 0.  Stable for all z >= 0 and alpha > -1."""
     if not alpha > -1.0 or math.isnan(alpha):
         raise ValueError(f"bessel_j_normalized requires alpha > -1, got {alpha!r}")
-    if z < 0.0:
-        raise ValueError(f"requires z >= 0, got {z!r}")
+    _require_finite_z("bessel_j_normalized", z)
     if z <= 1e-2 or (z <= 14.0 and _half_integer_k(alpha, z) == -2):
         # series with the (z/2)^alpha / Gamma(alpha+1) prefactor removed
         term = 1.0

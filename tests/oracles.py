@@ -68,3 +68,13 @@ def quad_moment(f, dps=30, upper=60):
     """mpmath quadrature of f over (0, upper) as a crude cross-check."""
     with mp.workdps(dps):
         return float(mp.quad(f, [0, upper]))
+
+
+def bessel_j_zero(alpha, k, near, dps=40):
+    """The k-th positive zero of J_alpha as an mpf: mpmath's besseljzero
+    for alpha >= 0; for -1 < alpha < 0, which besseljzero rejects, a
+    40-digit root search on besselj started at `near`."""
+    with mp.workdps(dps):
+        if alpha >= 0:
+            return +mp.besseljzero(alpha, k)
+        return mp.findroot(lambda z: mp.besselj(alpha, z), mp.mpf(near))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from besselprob import _kernels_py
@@ -221,6 +221,17 @@ class TestBesselJArray:
             backend.bessel_j_array(alpha, z)
 
 
+@pytest.mark.parametrize("name", ["bessel_j", "bessel_j_normalized", "bessel_j_prime",
+                                  "bessel_j_array"])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 2.0])
+@pytest.mark.parametrize("z", [math.inf, math.nan])
+def test_non_finite_z_raises_domain_error(name, alpha, z):
+    f = getattr(_kernels_py, name)
+    arg = [z] if name == "bessel_j_array" else z
+    with pytest.raises(ValueError, match=r"requires finite z >= 0"):
+        f(alpha, arg)
+
+
 def test_bessel_j_vs_series_oracle():
     for alpha in (-0.4, 0.3, 1.0, 2.2, 5.5):
         for z in (0.05, 1.0, 7.7, 13.0):
@@ -288,6 +299,37 @@ class TestZeros:
         assert specfun.bessel_zeros(1.25, 41) is not specfun.bessel_zeros(1.25, 40)
         specfun.bessel_zeros.cache_clear()
         assert specfun.bessel_zeros.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.37])
+    def test_scalar_calls_per_zero(self, alpha, monkeypatch):
+        # a Newton step that has converged is accepted, not bisected away
+        calls = [0]
+        inner = backend.bessel_j
+
+        def counted(a, z):
+            calls[0] += 1
+            return inner(a, z)
+
+        monkeypatch.setattr(backend, "bessel_j", counted)
+        specfun.bessel_zeros.__wrapped__(alpha, 49)
+        assert calls[0] <= 5 * 49
+
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(alpha=st.one_of(st.floats(0.0, 10.0), st.floats(-0.99, -0.01)))
+    @example(alpha=1.4324)   # k = 4 is 8e-13 off, in the series band
+    @example(alpha=6.35)     # k = 2 is ~48 ulps off, just past j_crossover
+    @example(alpha=-0.4)
+    def test_zeros_against_mpmath(self, alpha):
+        # below j_crossover the series band limits the zeros to ~1e-12;
+        # the Hankel expansion is a few ulps from one unit past it on
+        crossover = _kernels_py.j_crossover(alpha)
+        for k, z in enumerate(specfun.bessel_zeros.__wrapped__(alpha, 49).zeros, start=1):
+            err = float(abs(z - oracles.bessel_j_zero(alpha, k, z)))
+            assert err <= 1e-12 * z, (alpha, k, z)
+            if z >= crossover:
+                assert err <= 64 * math.ulp(z), (alpha, k, z)
+            if z >= crossover + 1.0:
+                assert err <= 16 * math.ulp(z), (alpha, k, z)
 
     def test_zero_table_validation(self):
         with pytest.raises(ValueError):
