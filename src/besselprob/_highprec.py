@@ -1,7 +1,7 @@
 """High-precision fallbacks for parameter corners where double arithmetic
 cannot deliver (large non-half-integer Bessel order at moderate argument,
 between the series cancellation limit and the asymptotic validity range).
-Rarely hit; both kernel backends delegate here."""
+Rarely hit; the scalar and array `bessel_j` kernels delegate here."""
 
 from __future__ import annotations
 

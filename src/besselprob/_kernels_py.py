@@ -1,12 +1,9 @@
-"""Pure-Python scalar kernels: log-gamma, digamma, Bessel J/I, 1F2 series.
+"""Scalar kernels: log-gamma, digamma, Bessel J/I, 1F2 series.
 
-This module is the fallback backend for the compiled extension
-(`_kernels_cy`).  Both expose the scalar functions in `__all__` with the
-same signatures; see `besselprob.backend` for the selection logic.  Two
-kernels work on arrays and serve both backends: the inverse normal CDF in
-`besselprob._normal` (the extension's own scalar `normal_inv_cdf` is no
-longer bound) and `bessel_j_array` here, which returns the values of the
-scalar `bessel_j` bit for bit.  Everything here is pure and reentrant.
+The functions in `__all__` are the library's one kernel implementation;
+every module reaches them through `besselprob.backend`.  `bessel_j_array`
+is the array form of `bessel_j` and returns its values bit for bit.
+Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -422,9 +419,12 @@ _I_OVERFLOW_Z = 690.0
 
 def bessel_i_normalized(alpha: float, z: float) -> float:
     """Gamma(alpha+1) (z/2)^{-alpha} I_alpha(z); equal to 1 at z = 0 and
-    >= 1 for all real z (even in z)."""
+    >= 1 for all real z (even in z).  OverflowError as `bessel_i` for
+    |z| past ~690, infinite z included."""
     if not alpha > -1.0 or math.isnan(alpha):
         raise ValueError(f"bessel_i_normalized requires alpha > -1, got {alpha!r}")
+    if math.isnan(z):
+        raise ValueError(f"bessel_i_normalized requires real z, got {z!r}")
     z = abs(z)
     if z <= 1e-2:
         term = 1.0
@@ -441,18 +441,18 @@ def bessel_i_normalized(alpha: float, z: float) -> float:
 
 def bessel_i(alpha: float, z: float) -> float:
     """I_alpha(z) for alpha > -1, z >= 0.  All series terms are positive so
-    there is no cancellation; raises OverflowError past z ~ 690 with the
-    log-scale value in the message."""
+    there is no cancellation; raises OverflowError past z ~ 690 (z = inf
+    included) with the log-scale value in the message."""
     if not alpha > -1.0 or math.isnan(alpha):
         raise ValueError(f"bessel_i requires alpha > -1, got {alpha!r}")
-    if z < 0.0:
+    if not z >= 0.0:
         raise ValueError(f"bessel_i requires z >= 0, got {z!r}")
     if z == 0.0:
         if alpha < 0.0:
             raise ZeroDivisionError("I_alpha(0) is singular for alpha < 0")
         return 1.0 if alpha == 0.0 else 0.0
     if z > _I_OVERFLOW_Z:
-        log_val = z - 0.5 * math.log(2.0 * math.pi * z)
+        log_val = z - 0.5 * math.log(2.0 * math.pi * z) if z < math.inf else z
         raise OverflowError(f"I_alpha overflow: log I_{alpha}({z}) ~ {log_val:.6g}")
     k = _half_integer_k(alpha, z)
     if k != -2:

@@ -75,7 +75,10 @@ _MAX_GL_PANELS = 2048
 def gauss_legendre(f: Callable[[float], float], lo: float, hi: float,
                    tol: float = 1e-10) -> QuadratureResult:
     """Adaptive panel integration, 32-point base rule, panels split until
-    the local 16- vs 32-point discrepancy sums below `tol`."""
+    the local 16- vs 32-point discrepancy sums below `tol`.
+
+    `tol` is absolute: `converged` is `abs_error_estimate <= tol`, however
+    small the value."""
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     width = hi - lo
@@ -112,7 +115,8 @@ def tanh_sinh(f, lo: float, hi: float, tol: float = 1e-12) -> QuadratureResult:
     The integrand is called f(x, dlo, dhi) where dlo/dhi are the exact
     distances to the endpoints; algebraically singular weights should use
     those instead of recomputing x - lo (which rounds to zero near the
-    boundary).
+    boundary).  `tol` is absolute: `converged` is `abs_error_estimate <=
+    tol`, however small the value.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -211,7 +215,8 @@ def fresnel_cos_moment(mu: float, tol: float = 1e-10) -> QuadratureResult:
 
     Head on [0, pi/2] by tanh-sinh (algebraic singularity at 0), then
     panels between consecutive cosine zeros accelerated by Wynn epsilon.
-    Target identity value: Gamma(mu) cos(pi mu / 2).
+    Target identity value: Gamma(mu) cos(pi mu / 2).  `tol` is absolute:
+    `converged` is `abs_error_estimate <= tol`.
     """
     if not 0.0 < mu < 1.0:
         raise ValueError(f"need 0 < mu < 1, got {mu!r}")
@@ -255,6 +260,11 @@ def ws_integral(alpha: float, s: float, tol: float = 1e-9,
     are Wynn-accelerated.  `breakpoints`, when given, replaces that
     partition (ValueError unless strictly increasing); the value does not
     depend on it.
+
+    `tol` is absolute: `converged` is `abs_error_estimate <= tol`, however
+    small the integral.  Near s = alpha + 1/2 at large alpha the integral
+    is ~1e-12, so `converged=True` there can come with a relative error
+    of 1e-5 (e.g. alpha = 7.665, s = 6.537, tol = 1e-8).
 
     All 32-point panel nodes go through one `backend.bessel_j_array` call,
     whose values equal the scalar kernel's bit for bit; `z^{-2s}` is taken

@@ -2,8 +2,7 @@
 Pochhammer ratios and the 1F2 hypergeometric evaluator.
 
 Every other module consumes these.  All functions are pure and thread-safe;
-the hot scalar loops live in the selected backend (compiled or pure Python,
-see `besselprob.backend`).
+the hot scalar loops are the kernels of `besselprob.backend`.
 """
 
 from __future__ import annotations

@@ -12,11 +12,6 @@ from besselprob.policy import PrecisionPolicy
 
 import oracles
 
-BACKENDS = [_kernels_py]
-if backend.BACKEND_NAME == "compiled":
-    from besselprob import _kernels_cy
-    BACKENDS.append(_kernels_cy)
-
 # frozen from the 50-digit series oracle (oracles.series_bessel_j/_i and
 # explicit summation; see oracles.py)
 J_1_AT_1 = 0.44005058574493351596
@@ -27,7 +22,7 @@ PSI_1 = -0.57721566490153286061        # Euler-Mascheroni, 50-digit series
 J0_FIRST_ZERO = 2.4048255576957727686  # bisection oracle on [2.4, 2.5]
 
 
-@pytest.mark.parametrize("kern", BACKENDS, ids=lambda k: k.BACKEND_NAME)
+@pytest.mark.parametrize("kern", [_kernels_py], ids=["python"])
 class TestKernels:
     def test_ln_gamma_values(self, kern):
         assert kern.ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
@@ -106,7 +101,7 @@ def _normal_quantile_mp(u: float):
 
 
 class TestNormalInvCdf:
-    # the array kernel (AS241) bound for every backend
+    # the array kernel (AS241), bound as `backend.normal_inv_cdf`
     def test_normal_inv_cdf(self):
         assert backend.normal_inv_cdf(0.5) == 0.0
         # standard two-sided 95% quantile
@@ -188,9 +183,17 @@ def _order_and_arguments(draw):
 
 
 class TestBesselJArray:
-    # the array kernel bound for every backend
+    # every kernel `backend` binds is the one `_kernels_py`/`_normal` object
     def test_bound_for_every_backend(self):
-        assert backend.bessel_j_array is _kernels_py.bessel_j_array
+        import besselprob
+        from besselprob import _normal
+
+        public = {n for n in vars(backend) if not n.startswith("_")} - {"annotations"}
+        assert public == set(_kernels_py.__all__) | {"normal_inv_cdf"}
+        for name in _kernels_py.__all__:
+            assert getattr(backend, name) is getattr(_kernels_py, name), name
+        assert backend.normal_inv_cdf is _normal.normal_inv_cdf
+        assert besselprob.BACKEND_NAME == "python"
 
     @settings(max_examples=60, deadline=None)
     @given(_order_and_arguments())
@@ -230,6 +233,20 @@ def test_non_finite_z_raises_domain_error(name, alpha, z):
     arg = [z] if name == "bessel_j_array" else z
     with pytest.raises(ValueError, match=r"requires finite z >= 0"):
         f(alpha, arg)
+
+
+@pytest.mark.parametrize("name", ["bessel_i", "bessel_i_normalized"])
+@pytest.mark.parametrize("alpha", [0.3, 1.5])
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_bessel_i_non_finite_z(name, alpha, z):
+    f = getattr(_kernels_py, name)
+    if math.isnan(z) or (name == "bessel_i" and z < 0.0):
+        with pytest.raises(ValueError, match=rf"{name} requires .*z"):
+            f(alpha, z)
+    else:
+        # I is even in z for the normalized form; both overflow at |z| = inf
+        with pytest.raises(OverflowError, match=r"~ inf$"):
+            f(alpha, z)
 
 
 def test_bessel_j_vs_series_oracle():
