@@ -21,7 +21,9 @@ from . import quad, rng
 from .errors import AccuracyError
 from .policy import DEFAULT_POLICY, PrecisionPolicy
 from .specfun import (
+    _F2_ASYM_MIN_X,
     _f2_alg_series,
+    _f2_asymptotic,
     _f2_osc_coeffs,
     bessel_j,
     bessel_j_normalized,
@@ -438,6 +440,11 @@ class ScanOutcome:
 
 _SCAN_SAFETY = 10.0
 _SCAN_X_CAP = 1e8
+# large-x chunks of the scan grid start at _SCAN_CHUNK_MIN points and double
+# up to _SCAN_CHUNK_MAX: a scan that stops just past the cutover pays for
+# few array points, a long one for few array calls
+_SCAN_CHUNK_MIN = 64
+_SCAN_CHUNK_MAX = 4096
 
 
 def _is_square_structure(A: float, B: float, C: float) -> bool:
@@ -460,6 +467,13 @@ def f2_nonneg_scan(A: float, B: float, C: float,
     large-x structure: the algebraic term x^{-A} (coefficient P) governs
     when it strictly dominates the oscillatory envelope x^{nu/2}
     (coefficient Q > 0).
+
+    Below x = 160 (specfun._F2_ASYM_MIN_X) every point is one
+    hyp1f2_with_bound call.  Past it the large-x expansion is evaluated on
+    array chunks of the grid (64 points, doubling to 4096); only points
+    whose bound misses the policy target are redone one at a time.  Chunk
+    values can differ from hyp1f2_with_bound's in the last ulp (numpy's
+    power rounds differently from libm's); the verdicts are the same.
     """
     if not (A > 0.0 and B > 0.0 and C > 0.0):
         raise ValueError("need positive parameters")
@@ -505,20 +519,33 @@ def f2_nonneg_scan(A: float, B: float, C: float,
     # decays below it)
     dy = math.pi / 16.0
     y = dy
-    y_max = math.sqrt(_SCAN_X_CAP if x_stop is None else x_stop)
+    y_end = math.sqrt(_SCAN_X_CAP if x_stop is None else x_stop) + dy
     prev_x, prev_v = 0.0, 1.0
     ambiguous = 0.0
-    while y <= y_max + dy:
-        x = y * y
-        v, bnd = hyp1f2_with_bound(A, B, C, -x, policy)
-        if v < -8.0 * bnd:
-            witness = _refine_witness(A, B, C, prev_x, prev_v, x, v, policy)
+    size = _SCAN_CHUNK_MIN
+    while y <= y_end:
+        # one chunk: every point below the large-x cutover, or the next
+        # `size` points past it (the running sum keeps the grid's bits)
+        large = y * y >= _F2_ASYM_MIN_X
+        xs = []
+        while y <= y_end and (len(xs) < size if large else y * y < _F2_ASYM_MIN_X):
+            xs.append(y * y)
+            y += dy
+        vs, bnds = _scan_values(A, B, C, xs, large, policy)
+        hit = vs[-1] < -8.0 * bnds[-1]
+        before = vs[:-1] if hit else vs
+        neg = before[before < 0.0]
+        if neg.size:
+            ambiguous = max(ambiguous, float(-neg.min()))
+        if before.size:
+            prev_x, prev_v = xs[before.size - 1], float(before[-1])
+        if hit:
+            v, bnd = float(vs[-1]), float(bnds[-1])
+            witness = _refine_witness(A, B, C, prev_x, prev_v, xs[before.size], v, policy)
             return ScanOutcome(kind="Negative", witness=witness,
                                detail=f"verified value {v:.6g} (bound {bnd:.3g})")
-        if v < 0.0:
-            ambiguous = max(ambiguous, -v)
-        prev_x, prev_v = x, v
-        y += dy
+        if large:
+            size = min(2 * size, _SCAN_CHUNK_MAX)
 
     if x_stop is not None:
         return ScanOutcome(kind="Nonnegative", bound=x_stop,
@@ -538,6 +565,39 @@ def f2_nonneg_scan(A: float, B: float, C: float,
     return ScanOutcome(kind="Indeterminate",
                        detail=f"no verified witness below x={_SCAN_X_CAP:g}; "
                               f"ambiguity {ambiguous:.3g}")
+
+
+def _scan_values(A, B, C, xs, large, policy):
+    """(values, bounds) of 1F2(A; B, C; -x) at the scan points `xs`, as
+    arrays that end at the first verified negative (v < -8 bound).
+
+    A `large` chunk (every x >= _F2_ASYM_MIN_X) takes the large-x expansion
+    on the whole array; points whose bound misses the policy target are
+    redone by hyp1f2_with_bound, in order.  Other chunks, and a large one
+    whose array expansion overflows, march one hyp1f2_with_bound call per
+    point."""
+    if large:
+        try:
+            vs, bnds = _f2_asymptotic(A, B, C, np.array(xs))
+        except OverflowError:
+            pass
+        else:
+            need = np.maximum(policy.target_abs_tol, policy.target_rel_tol * np.abs(vs))
+            miss = bnds > need
+            for i in np.flatnonzero(miss | (vs < -8.0 * bnds)):
+                if miss[i]:
+                    vs[i], bnds[i] = hyp1f2_with_bound(A, B, C, -xs[i], policy)
+                if vs[i] < -8.0 * bnds[i]:
+                    return vs[:i + 1], bnds[:i + 1]
+            return vs, bnds
+    vs, bnds = [], []
+    for x in xs:
+        v, bnd = hyp1f2_with_bound(A, B, C, -x, policy)
+        vs.append(v)
+        bnds.append(bnd)
+        if v < -8.0 * bnd:
+            break
+    return np.array(vs), np.array(bnds)
 
 
 def _osc_coeff_magnitudes(A: float, B: float, C: float) -> tuple:
@@ -650,9 +710,15 @@ def boundary_f_ab(a: float, b: float, u: float, resolution: float = 1e-3,
 
     On the initial segment (u up to max(2a+b, a+1/2)) the boundary is the
     exact line 3a+b+1/2-u; beyond it the value is bracketed by bisection
-    on the existence oracle, using monotonicity of existence in c."""
+    on the existence oracle, using monotonicity of existence in c, to a
+    bracket no wider than `resolution`.  Raises ValueError unless u is
+    finite and resolution is finite and > 0."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError("need a, b > 0")
+    if not math.isfinite(u):
+        raise ValueError(f"u must be finite, got {u!r}")
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise ValueError(f"resolution must be finite and > 0, got {resolution!r}")
     u_min = 0.5 * (3.0 * a + b) + 0.25
     if u < u_min - 1e-12:
         raise ValueError(f"u={u} below the domain start {u_min}")

@@ -11,6 +11,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 from mpmath import libmp
 
 from . import backend
@@ -138,16 +140,14 @@ def ln_gamma_complex(z: complex) -> complex:
 def ln_gamma_complex_array(z):
     """Vectorized ln_gamma_complex for ndarray input with Re(z) >= 0.5
     (the Mellin-line use case keeps arguments right of the strip)."""
-    import numpy as _np
-
-    z = _np.asarray(z, dtype=complex)
-    if _np.any(z.real < 0.5):
-        return _np.array([ln_gamma_complex(v) for v in z.ravel()]).reshape(z.shape)
-    acc = _np.full(z.shape, _LANCZOS_C[0], dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    if np.any(z.real < 0.5):
+        return np.array([ln_gamma_complex(v) for v in z.ravel()]).reshape(z.shape)
+    acc = np.full(z.shape, _LANCZOS_C[0], dtype=complex)
     for k in range(1, 9):
         acc += _LANCZOS_C[k] / (z - 1.0 + k)
     t = z + _LANCZOS_G - 0.5
-    return 0.9189385332046727417803297 + (z - 0.5) * _np.log(t) - t + _np.log(acc)
+    return 0.9189385332046727417803297 + (z - 0.5) * np.log(t) - t + np.log(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +430,13 @@ def _f2_alg_series(a: float, b: float, c: float, x: float):
     return pref * total, pref * bound
 
 
-def _f2_asymptotic(a: float, b: float, c: float, x: float):
-    """1F2(a;b,c;-x) by the large-x expansion; returns (value, abs_bound)."""
+def _f2_asymptotic(a: float, b: float, c: float, x):
+    """1F2(a;b,c;-x) by the large-x expansion; returns (value, abs_bound).
+
+    `x` may also be an ndarray, which returns (values, bounds) arrays of
+    its shape (see _f2_asymptotic_array)."""
+    if isinstance(x, np.ndarray):
+        return _f2_asymptotic_array(a, b, c, x)
     nu = a - b - c + 0.5
     g = _f2_osc_coeffs(a, b, c)
     u = math.sqrt(x)
@@ -454,6 +459,80 @@ def _f2_asymptotic(a: float, b: float, c: float, x: float):
     val = alg + osc
     bound = env * trunc + alg_bound + 2e-14 * (abs(alg) + env * (abs(tot) + 1.0))
     return val, bound
+
+
+def _stopped_sums(terms, count: int, n: int, width: int):
+    """Elementwise form of the stop rule of both large-x series: sum terms
+    k = 0 .. count-1 in order, each element stopping before its first term
+    larger in magnitude than the one before.
+
+    `terms(k, live)` returns the `width` components of term k (one real
+    array, or real and imaginary parts) at the elements `live` (a slice
+    while every element still sums, then flat indices).  Returns (sums,
+    trunc, n_live): the component sums, the magnitude of each element's
+    last summed or first rejected term, and how many elements were still
+    summing after the last term."""
+    live = slice(None)
+    n_live = n
+    last = np.full(n, math.inf)
+    trunc = np.zeros(n)
+    sums = [np.zeros(n) for _ in range(width)]
+    for k in range(count):
+        parts = terms(k, live)
+        at = np.hypot(*parts) if width == 2 else np.abs(parts[0])
+        trunc[live] = at
+        stop = at > last[live]
+        if stop.any():
+            keep = ~stop
+            live = np.flatnonzero(keep) if n_live == n else live[keep]
+            n_live = live.size
+            parts = [p[keep] for p in parts]
+            at = at[keep]
+        for s, p in zip(sums, parts):
+            s[live] += p
+        last[live] = at
+        if not n_live:
+            break
+    return sums, trunc, n_live
+
+
+def _f2_asymptotic_array(a: float, b: float, c: float, x: np.ndarray):
+    """_f2_asymptotic on every element of `x` > 0, with the scalar form's
+    coefficients, stop rules and bound.
+
+    numpy's power rounds differently from libm's on a few percent of
+    arguments, so values can differ from the scalar form's in the last
+    ulp.  Raises OverflowError where the scalar series would run past its
+    coefficients, and where any operation overflows or turns invalid:
+    callers then fall back to the scalar form."""
+    nu = a - b - c + 0.5
+    g = _f2_osc_coeffs(a, b, c)
+    apref, coeffs = _f2_alg_coeffs(a, b, c)
+    xs = np.asarray(x, dtype=float).ravel()
+
+    def osc_term(k, i):
+        p = np.power(u[i], -k)
+        return g[k].real * p, g[k].imag * p
+
+    def alg_term(k, i):
+        return (coeffs[k] * np.power(xs[i], -a - k),)
+
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            u = np.sqrt(xs)
+            (re, im), trunc, _ = _stopped_sums(osc_term, len(g), xs.size, 2)
+            (alg,), alg_bound, n_live = _stopped_sums(alg_term, len(coeffs), xs.size, 1)
+            if n_live and len(coeffs) <= _F2_KMAX:
+                raise OverflowError("1F2 algebraic coefficient overflows a double")
+            alg *= apref
+            alg_bound *= apref
+            env = apref / math.sqrt(math.pi) * np.power(u, nu)
+            theta = 2.0 * u + 0.5 * nu * math.pi
+            val = alg + env * (np.cos(theta) * re - np.sin(theta) * im)
+            bound = env * trunc + alg_bound + 2e-14 * (np.abs(alg) + env * (np.hypot(re, im) + 1.0))
+    except FloatingPointError as exc:
+        raise OverflowError(f"1F2 large-x expansion leaves the double range: {exc}") from exc
+    return val.reshape(np.shape(x)), bound.reshape(np.shape(x))
 
 
 # large-x expansion becomes competitive with the 50-digit series here

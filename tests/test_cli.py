@@ -143,6 +143,19 @@ class TestGammatypeCommands:
         assert float(first[1]) == pytest.approx(4.5 - 2.5, abs=1e-12)
         assert first[3] == "LinearSegment"
 
+    @pytest.mark.parametrize("command", [
+        ["boundary", "--u-from", "3.5", "--u-to", "4.0", "--u-count", "2"],
+        ["convexity", "--u-from", "2.5", "--u-to", "3.5", "--u-count", "3"]])
+    def test_zero_resolution_is_usage_error(self, command, tmp_path, monkeypatch):
+        # used to bisect forever; exists_D is replaced so it cannot hang
+        def unreachable(*args, **kwargs):
+            raise AssertionError("bisection reached")
+
+        monkeypatch.setattr(cli.gammatype, "exists_D", unreachable)
+        code = run(["gammatype", command[0], "-a", "1", "-b", "1", *command[1:],
+                    "--resolution", "0", "--out", str(tmp_path / "x.out")])
+        assert code == 2
+
     def test_density(self, tmp_path):
         out = tmp_path / "d.json"
         code = run(["gammatype", "density", "--spec-json", '{"a": [1]}',

@@ -242,6 +242,37 @@ class TestScan:
         assert out.kind == "Nonnegative"
         assert out.bound is not None and out.bound > 0
 
+    # whole outcomes recorded from the one-call-per-point march, for scans
+    # that reach the large-x array chunks: witnesses past x = 160 out to
+    # 8.7e6, the full-cap Indeterminate, the x_stop = 2^23 Nonnegative of
+    # boundary_f_ab(1, 1, 3.5), and witnesses at the first point of a chunk
+    # (x = 162.9 after the scalar stretch, 641.6 after the first array
+    # chunk), which bisect from the last point of the chunk before
+    SCAN_OUTCOMES = [
+        ((2.734, 5.024, 3.438), "Negative", 220.88723389693314, None,
+         "verified value -3.9418e-07 (bound 1.55e-16)"),
+        ((1.654, 2.629, 2.672), "Negative", 516.8637944082618, None,
+         "verified value -1.50722e-06 (bound 6.21e-18)"),
+        ((1.682, 3.089, 2.385), "Negative", 12304.490831239016, None,
+         "verified value -5.13715e-10 (bound 1.85e-20)"),
+        ((2.174, 3.757, 3.169), "Negative", 8731188.86115756, None,
+         "verified value -8.99205e-19 (bound 5.72e-28)"),
+        ((1.343, 2.165, 2.35), "Indeterminate", None, None,
+         "no verified witness below x=1e+08; ambiguity 0"),
+        ((2.0, 2.37109375, 4.5), "Nonnegative", None, 8388608.0,
+         "scan clean; algebraic tail dominates"),
+        ((3.65, 5.25, 5.36), "Negative", 158.3585917536466, None,
+         "verified value -3.24435e-07 (bound 2.04e-15)"),
+        ((3.65, 5.25, 5.53), "Negative", 640.6315068366512, None,
+         "verified value -1.86998e-09 (bound 9.68e-21)"),
+    ]
+
+    @pytest.mark.parametrize("abc, kind, witness, bound, detail", SCAN_OUTCOMES,
+                             ids=[str(case[0]) for case in SCAN_OUTCOMES])
+    def test_large_x_outcomes(self, abc, kind, witness, bound, detail):
+        assert gt.f2_nonneg_scan(*abc) == gt.ScanOutcome(
+            kind=kind, witness=witness, bound=bound, detail=detail)
+
     def test_deep_decay_negativity(self):
         # the whole function decays below any absolute tolerance before the
         # first verified-negative trough; the sign decision must be made
@@ -350,6 +381,20 @@ class TestBoundary:
     def test_domain_guard(self):
         with pytest.raises(ValueError):
             gt.boundary_f_ab(1.0, 1.0, 2.0)
+
+    # without the check, resolution <= 0 and u = inf bisect forever and a
+    # NaN returns a "Bisection" sample that no bisection produced; exists_D
+    # is replaced so that a case reaching the bisection fails at once
+    @pytest.mark.parametrize("u, resolution", [
+        (3.5, 0.0), (3.5, -1.0), (3.5, math.nan), (3.5, math.inf), (2.5, 0.0),
+        (math.inf, 1e-3), (-math.inf, 1e-3), (math.nan, 1e-3)])
+    def test_degenerate_input_rejected(self, u, resolution, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("bisection reached")
+
+        monkeypatch.setattr(gt, "exists_D", unreachable)
+        with pytest.raises(ValueError):
+            gt.boundary_f_ab(1.0, 1.0, u, resolution=resolution)
 
     def test_nonincreasing(self):
         vals = [gt.boundary_f_ab(1.0, 1.0, u, resolution=1e-3).f_value

@@ -486,6 +486,43 @@ class TestHyp1F2:
                        float.fromhex("0x1.da0e2290e9fdbp+905"))
         with pytest.raises(OverflowError):
             specfun._f2_alg_series(158.0, 1.5, 2.5, 64.0)
+        # the array form of the expansion raises where the scalar one does
+        # ((158, 150, 150) runs past the coefficients in both series forms)
+        for abc in ((158.0, 1.5, 2.5), (158.0, 150.0, 150.0)):
+            with pytest.raises(OverflowError):
+                specfun._f2_asymptotic(*abc, 64.0)
+            with pytest.raises(OverflowError):
+                specfun._f2_asymptotic(*abc, np.array([64.0, 400.0]))
+
+    # numpy's power rounds differently from libm's on a few percent of
+    # arguments, so the array form is held to a share of the scalar bound
+    # (measured worst 0.026), not to bit equality
+    @given(a=st.floats(0.3, 4.0), b=st.floats(0.3, 4.0), c=st.floats(0.3, 4.0),
+           logx=st.lists(st.floats(math.log10(160.0), 8.0), min_size=1, max_size=48),
+           column=st.booleans())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_asymptotic_array_matches_scalar(self, a, b, c, logx, column):
+        x = 10.0 ** np.array(logx)
+        if column:
+            x = x.reshape(-1, 1)
+        values, bounds = specfun._f2_asymptotic(a, b, c, x)
+        assert values.shape == bounds.shape == x.shape
+        for xi, v, bound in zip(x.ravel().tolist(), values.ravel().tolist(),
+                                bounds.ravel().tolist()):
+            want, want_bound = specfun._f2_asymptotic(a, b, c, xi)
+            assert abs(v - want) <= 0.05 * want_bound
+            assert abs(bound - want_bound) <= 1e-12 * want_bound
+
+    # every route switch of hyp1f2_with_bound: the double series stops at
+    # |x| = 110 and the large-x expansion starts at 160
+    @given(a=st.floats(0.3, 4.0), b=st.floats(0.3, 4.0), c=st.floats(0.3, 4.0),
+           edge=st.sampled_from([110.0, 160.0]), eps=st.floats(-0.02, 0.02))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_bound_contains_error_across_route_switches(self, a, b, c, edge, eps):
+        for x in (-edge, -math.nextafter(edge, 0.0), -edge * (1.0 + eps)):
+            v, bound = specfun.hyp1f2_with_bound(a, b, c, x)
+            want = oracles.series_hyp1f2(a, b, c, x)
+            assert abs(v - want) <= max(bound, 1e-15 * abs(want)), x
 
     def test_asymptotic_evaluated_once_before_highprec(self, monkeypatch):
         # at this point the large-x bound misses the target, so the 50-digit
