@@ -440,11 +440,8 @@ class ScanOutcome:
 
 _SCAN_SAFETY = 10.0
 _SCAN_X_CAP = 1e8
-# large-x chunks of the scan grid start at _SCAN_CHUNK_MIN points and double
-# up to _SCAN_CHUNK_MAX: a scan that stops just past the cutover pays for
-# few array points, a long one for few array calls
-_SCAN_CHUNK_MIN = 64
-_SCAN_CHUNK_MAX = 4096
+# grid points per array call on the large-x stretch of the scan
+_SCAN_CHUNK = 1024
 
 
 def _is_square_structure(A: float, B: float, C: float) -> bool:
@@ -470,10 +467,10 @@ def f2_nonneg_scan(A: float, B: float, C: float,
 
     Below x = 160 (specfun._F2_ASYM_MIN_X) every point is one
     hyp1f2_with_bound call.  Past it the large-x expansion is evaluated on
-    array chunks of the grid (64 points, doubling to 4096); only points
-    whose bound misses the policy target are redone one at a time.  Chunk
-    values can differ from hyp1f2_with_bound's in the last ulp (numpy's
-    power rounds differently from libm's); the verdicts are the same.
+    array chunks of 1024 grid points; only points whose bound misses the
+    policy target are redone one at a time.  Chunk values can differ from
+    hyp1f2_with_bound's in the last ulp (numpy's power rounds differently
+    from libm's); the verdicts are the same.
     """
     if not (A > 0.0 and B > 0.0 and C > 0.0):
         raise ValueError("need positive parameters")
@@ -522,13 +519,12 @@ def f2_nonneg_scan(A: float, B: float, C: float,
     y_end = math.sqrt(_SCAN_X_CAP if x_stop is None else x_stop) + dy
     prev_x, prev_v = 0.0, 1.0
     ambiguous = 0.0
-    size = _SCAN_CHUNK_MIN
     while y <= y_end:
         # one chunk: every point below the large-x cutover, or the next
-        # `size` points past it (the running sum keeps the grid's bits)
+        # _SCAN_CHUNK points past it (the running sum keeps the grid's bits)
         large = y * y >= _F2_ASYM_MIN_X
         xs = []
-        while y <= y_end and (len(xs) < size if large else y * y < _F2_ASYM_MIN_X):
+        while y <= y_end and (len(xs) < _SCAN_CHUNK if large else y * y < _F2_ASYM_MIN_X):
             xs.append(y * y)
             y += dy
         vs, bnds = _scan_values(A, B, C, xs, large, policy)
@@ -544,8 +540,6 @@ def f2_nonneg_scan(A: float, B: float, C: float,
             witness = _refine_witness(A, B, C, prev_x, prev_v, xs[before.size], v, policy)
             return ScanOutcome(kind="Negative", witness=witness,
                                detail=f"verified value {v:.6g} (bound {bnd:.3g})")
-        if large:
-            size = min(2 * size, _SCAN_CHUNK_MAX)
 
     if x_stop is not None:
         return ScanOutcome(kind="Nonnegative", bound=x_stop,

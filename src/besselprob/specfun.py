@@ -461,68 +461,48 @@ def _f2_asymptotic(a: float, b: float, c: float, x):
     return val, bound
 
 
-def _stopped_sums(terms, count: int, n: int, width: int):
-    """Elementwise form of the stop rule of both large-x series: sum terms
-    k = 0 .. count-1 in order, each element stopping before its first term
-    larger in magnitude than the one before.
-
-    `terms(k, live)` returns the `width` components of term k (one real
-    array, or real and imaginary parts) at the elements `live` (a slice
-    while every element still sums, then flat indices).  Returns (sums,
-    trunc, n_live): the component sums, the magnitude of each element's
-    last summed or first rejected term, and how many elements were still
-    summing after the last term."""
-    live = slice(None)
-    n_live = n
-    last = np.full(n, math.inf)
-    trunc = np.zeros(n)
-    sums = [np.zeros(n) for _ in range(width)]
-    for k in range(count):
-        parts = terms(k, live)
-        at = np.hypot(*parts) if width == 2 else np.abs(parts[0])
-        trunc[live] = at
-        stop = at > last[live]
-        if stop.any():
-            keep = ~stop
-            live = np.flatnonzero(keep) if n_live == n else live[keep]
-            n_live = live.size
-            parts = [p[keep] for p in parts]
-            at = at[keep]
-        for s, p in zip(sums, parts):
-            s[live] += p
-        last[live] = at
-        if not n_live:
-            break
-    return sums, trunc, n_live
-
-
 def _f2_asymptotic_array(a: float, b: float, c: float, x: np.ndarray):
     """_f2_asymptotic on every element of `x` > 0, with the scalar form's
-    coefficients, stop rules and bound.
+    coefficients, stop rules, order of additions and bound.
 
-    numpy's power rounds differently from libm's on a few percent of
-    arguments, so values can differ from the scalar form's in the last
-    ulp.  Raises OverflowError where the scalar series would run past its
-    coefficients, and where any operation overflows or turns invalid:
-    callers then fall back to the scalar form."""
+    Each series is a loop over its terms on the whole array; an element
+    whose term grows stops summing (the mask `active`).  numpy's power
+    rounds differently from libm's on a few percent of arguments, so
+    values can differ from the scalar form's in the last ulp.  Raises
+    OverflowError where the scalar series would run past its coefficients,
+    and where any operation overflows or turns invalid: callers then fall
+    back to the scalar form."""
     nu = a - b - c + 0.5
     g = _f2_osc_coeffs(a, b, c)
     apref, coeffs = _f2_alg_coeffs(a, b, c)
     xs = np.asarray(x, dtype=float).ravel()
-
-    def osc_term(k, i):
-        p = np.power(u[i], -k)
-        return g[k].real * p, g[k].imag * p
-
-    def alg_term(k, i):
-        return (coeffs[k] * np.power(xs[i], -a - k),)
-
     try:
         with np.errstate(over="raise", invalid="raise"):
             u = np.sqrt(xs)
-            (re, im), trunc, _ = _stopped_sums(osc_term, len(g), xs.size, 2)
-            (alg,), alg_bound, n_live = _stopped_sums(alg_term, len(coeffs), xs.size, 1)
-            if n_live and len(coeffs) <= _F2_KMAX:
+            re, im, trunc = np.zeros(xs.shape), np.zeros(xs.shape), np.zeros(xs.shape)
+            last = np.full(xs.shape, math.inf)
+            active = np.ones(xs.shape, dtype=bool)
+            for k, gk in enumerate(g):
+                p = np.power(u, -k)
+                t_re, t_im = gk.real * p, gk.imag * p
+                at = np.hypot(t_re, t_im)
+                np.copyto(trunc, at, where=active)
+                active &= ~(at > last)
+                np.add(re, t_re, out=re, where=active)
+                np.add(im, t_im, out=im, where=active)
+                last = at
+            alg = np.zeros(xs.shape)
+            alg_bound = np.zeros(xs.shape)
+            last = np.full(xs.shape, math.inf)
+            active = np.ones(xs.shape, dtype=bool)
+            for k, ck in enumerate(coeffs):
+                t = ck * np.power(xs, -a - k)
+                at = np.abs(t)
+                np.copyto(alg_bound, at, where=active)
+                active &= ~(at > last)
+                np.add(alg, t, out=alg, where=active)
+                last = at
+            if len(coeffs) <= _F2_KMAX and active.any():
                 raise OverflowError("1F2 algebraic coefficient overflows a double")
             alg *= apref
             alg_bound *= apref

@@ -246,8 +246,9 @@ class TestScan:
     # that reach the large-x array chunks: witnesses past x = 160 out to
     # 8.7e6, the full-cap Indeterminate, the x_stop = 2^23 Nonnegative of
     # boundary_f_ab(1, 1, 3.5), and witnesses at the first point of a chunk
-    # (x = 162.9 after the scalar stretch, 641.6 after the first array
-    # chunk), which bisect from the last point of the chunk before
+    # (grid point 65, x = 162.9, after the scalar stretch; grid point 1089,
+    # x = 45720, after the first 1024-point array chunk), which bisect from
+    # the last point of the chunk before
     SCAN_OUTCOMES = [
         ((2.734, 5.024, 3.438), "Negative", 220.88723389693314, None,
          "verified value -3.9418e-07 (bound 1.55e-16)"),
@@ -265,6 +266,8 @@ class TestScan:
          "verified value -3.24435e-07 (bound 2.04e-15)"),
         ((3.65, 5.25, 5.53), "Negative", 640.6315068366512, None,
          "verified value -1.86998e-09 (bound 9.68e-21)"),
+        ((3.3, 4.655, 5.445), "Negative", 45717.85221684817, None,
+         "verified value -2.72565e-16 (bound 1.83e-26)"),
     ]
 
     @pytest.mark.parametrize("abc, kind, witness, bound, detail", SCAN_OUTCOMES,
