@@ -186,38 +186,28 @@ def _bessel_j_series_bound(alpha: float, z: float) -> tuple[float, float]:
 
 
 def _bessel_j_series_bound_array(alpha: float, z: np.ndarray) -> tuple:
-    """`_bessel_j_series_bound` elementwise, with its stopping rule as a
-    mask of the elements still summing."""
+    """`_bessel_j_series_bound` elementwise; an element whose term falls
+    below the stopping rule stops summing (the mask `active`)."""
     half = 0.5 * z
     lg = ln_gamma(alpha + 1.0)
     term = np.array([math.exp(alpha * math.log(h) - lg) for h in half.tolist()])
     ratio = -half * half
-    total = term
+    total = term.copy()
     comp = np.zeros_like(z)
     max_term = np.abs(term)
-    out_total = np.empty_like(z)
-    out_max = np.empty_like(z)
-    live = np.arange(z.size)
+    active = np.ones(z.shape, dtype=bool)
     for n in range(1, _MAX_SERIES_TERMS):
         term = term * (ratio / (n * (n + alpha)))
         at = np.abs(term)
-        max_term = np.where(at > max_term, at, max_term)
+        np.copyto(max_term, at, where=active & (at > max_term))
         y = term - comp
         t = total + y
-        comp = (t - total) - y
-        total = t
-        done = at <= _SERIES_STOP * (np.abs(total) + 1e-300)
-        if done.any():
-            out_total[live[done]] = total[done]
-            out_max[live[done]] = max_term[done]
-            go = ~done
-            live, term, ratio, total, comp, max_term = (
-                v[go] for v in (live, term, ratio, total, comp, max_term))
-            if not live.size:
-                break
-    out_total[live] = total
-    out_max[live] = max_term
-    return out_total, 4e-16 * out_max
+        np.copyto(comp, (t - total) - y, where=active)
+        np.copyto(total, t, where=active)
+        active &= ~(at <= _SERIES_STOP * (np.abs(total) + 1e-300))
+        if not active.any():
+            break
+    return total, 4e-16 * max_term
 
 
 def bessel_j_series(alpha: float, z: float) -> float:
@@ -259,33 +249,24 @@ def _hankel_pq(alpha: float, z: float) -> tuple[float, float]:
 
 
 def _hankel_pq_array(alpha: float, z: np.ndarray) -> tuple:
-    """`_hankel_pq` elementwise, with its stopping rule as a mask of the
-    elements still summing."""
+    """`_hankel_pq` elementwise; an element whose term grows or falls
+    below `_HANKEL_TINY` stops summing (the mask `active`)."""
     mu = 4.0 * alpha * alpha
     p = np.ones_like(z)
     q = np.zeros_like(z)
-    term = p
+    term = np.ones_like(z)
     eight_z = 8.0 * z
     prev = np.full_like(z, math.inf)
-    live = np.arange(z.size)
+    active = np.ones(z.shape, dtype=bool)
     for k in range(1, _HANKEL_TERMS):
         term = term * ((mu - (2.0 * k - 1.0) ** 2) / (k * eight_z))
         at = np.abs(term)
-        go = ~((at >= prev) | (at < _HANKEL_TINY))
-        if not go.all():
-            live, term, at, eight_z = live[go], term[go], at[go], eight_z[go]
-            if not live.size:
-                break
+        active &= ~((at >= prev) | (at < _HANKEL_TINY))
+        if not active.any():
+            break
         prev = at
-        r = k % 4
-        if r == 0:
-            p[live] += term
-        elif r == 1:
-            q[live] += term
-        elif r == 2:
-            p[live] -= term
-        else:
-            q[live] -= term
+        acc = p if k % 2 == 0 else q
+        np.add(acc, term if k % 4 < 2 else -term, out=acc, where=active)
     return p, q
 
 

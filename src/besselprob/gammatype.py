@@ -25,6 +25,7 @@ from .specfun import (
     _f2_alg_series,
     _f2_asymptotic,
     _f2_osc_coeffs,
+    _f2_osc_series,
     bessel_j,
     bessel_j_normalized,
     digamma,
@@ -248,8 +249,7 @@ def malmsten_integrand(a_set: Sequence[float], c_set: Sequence[float],
     return num / (x * (-math.expm1(-x)))
 
 
-def _compensated_exponent_integral(weight, s: float, decay: float,
-                                   tol: float = 1e-12) -> float:
+def _compensated_exponent_integral(weight, s: float, decay: float) -> float:
     """integral_0^inf (e^{-s y} - 1 + s y) * weight(y) dy with weight(y) ~
     (finite)/y^2 * exp(-decay * y) tails; the integrand is analytic at 0.
 
@@ -265,7 +265,7 @@ def _compensated_exponent_integral(weight, s: float, decay: float,
             return 0.0
         return (math.expm1(-s * y) + s * y) * weight(y)
 
-    r = quad.gauss_legendre(f, 0.0, span, tol=tol)
+    r = quad.gauss_legendre(f, 0.0, span, tol=1e-12)
     return r.value
 
 
@@ -409,7 +409,7 @@ def extremal_density(a: float, b: float, x: float) -> float:
     return math.exp(lc + (a - 1.5) * math.log(x)) * j * j
 
 
-def extremal_moment_check(a: float, b: float, s: float, tol: float = 1e-8):
+def extremal_moment_check(a: float, b: float, s: float):
     """Moment of the extremal density two ways: the substituted
     squared-Bessel Mellin integral versus the Gamma-ratio symbol.
 
@@ -417,7 +417,7 @@ def extremal_moment_check(a: float, b: float, s: float, tol: float = 1e-8):
     if not -a < s < b:
         raise ValueError(f"s={s} outside (-{a}, {b})")
     alpha = a + b - 0.5
-    ws = quad.ws_integral(alpha, a + s, tol=tol)
+    ws = quad.ws_integral(alpha, a + s, tol=1e-8)
     lc = math.log(2.0) + 0.5 * math.log(math.pi) + ln_gamma(2 * a + b) \
         + ln_gamma(a + 0.5) - ln_gamma(a) - ln_gamma(b)
     lhs = math.exp(lc) * ws.value
@@ -468,9 +468,10 @@ def f2_nonneg_scan(A: float, B: float, C: float,
     Below x = 160 (specfun._F2_ASYM_MIN_X) every point is one
     hyp1f2_with_bound call.  Past it the large-x expansion is evaluated on
     array chunks of 1024 grid points; only points whose bound misses the
-    policy target are redone one at a time.  Chunk values can differ from
-    hyp1f2_with_bound's in the last ulp (numpy's power rounds differently
-    from libm's); the verdicts are the same.
+    policy target are redone one at a time.  Chunk values and bounds are
+    hyp1f2_with_bound's bit for bit: both come from the one array form of
+    specfun._f2_asymptotic, whose bound includes the rounding of the phase
+    2 sqrt(x) + nu pi/2 (4 * 2^-53 of it, times the oscillatory part).
     """
     if not (A > 0.0 and B > 0.0 and C > 0.0):
         raise ValueError("need positive parameters")
@@ -479,36 +480,7 @@ def f2_nonneg_scan(A: float, B: float, C: float,
                            detail="squared-Bessel structure")
     prof = f2_tail_profile(A, B, C)
     gap = -2.0 * A - prof.nu     # > 0: algebraic term decays slower
-    g_abs = _osc_coeff_magnitudes(A, B, C)
-    g1 = g_abs[1] if len(g_abs) > 1 else 0.0
-
-    def osc_envelope(x: float) -> float:
-        u = math.sqrt(x)
-        acc = 0.0
-        last = math.inf
-        for k, gk in enumerate(g_abs):
-            t = gk * u ** (-k)
-            if t > last:
-                break
-            acc += t
-            last = t
-        return prof.osc * x ** (0.5 * prof.nu) * acc
-
-    def dominated_from(x: float) -> bool:
-        if gap <= 0.0 or prof.alg <= 0.0:
-            return False
-        alg_val, alg_bound = _f2_alg_series(A, B, C, x)
-        return alg_val - alg_bound >= _SCAN_SAFETY * osc_envelope(x) and alg_val > 0.0
-
-    # tail horizon: smallest power of 2 scale where domination holds
-    x_stop = None
-    if gap > 0.0 and prof.alg > 0.0:
-        x_try = 64.0
-        while x_try <= _SCAN_X_CAP:
-            if dominated_from(x_try):
-                x_stop = x_try
-                break
-            x_try *= 2.0
+    x_stop = _tail_horizon(A, B, C, prof) if gap > 0.0 and prof.alg > 0.0 else None
     boundary = abs(gap) < 1e-9
 
     # sign decisions are made against the evaluator's own error bound (an
@@ -546,6 +518,8 @@ def f2_nonneg_scan(A: float, B: float, C: float,
                            detail="scan clean; algebraic tail dominates")
     if boundary:
         # equal decay: the trough value behaves like (P - Q) x^{-A}
+        g = _f2_osc_coeffs(A, B, C)
+        g1 = abs(g[1]) if len(g) > 1 else 0.0
         margin = prof.osc * (g1 / math.sqrt(_SCAN_X_CAP) + 1e-12)
         if prof.alg - prof.osc > margin:
             return ScanOutcome(kind="Nonnegative", bound=_SCAN_X_CAP,
@@ -559,6 +533,20 @@ def f2_nonneg_scan(A: float, B: float, C: float,
     return ScanOutcome(kind="Indeterminate",
                        detail=f"no verified witness below x={_SCAN_X_CAP:g}; "
                               f"ambiguity {ambiguous:.3g}")
+
+
+def _tail_horizon(A, B, C, prof) -> Optional[float]:
+    """The first x = 64 * 2^k <= _SCAN_X_CAP at which the algebraic term,
+    less its truncation bound, is positive and at least _SCAN_SAFETY times
+    the oscillatory envelope (the sum of the moduli of its terms); None
+    when there is none.  An inf or nan there is not dominated."""
+    xs = 64.0 * 2.0 ** np.arange(int(math.log2(_SCAN_X_CAP / 64.0)) + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alg, alg_bound = _f2_alg_series(A, B, C, xs)
+        u = np.sqrt(xs)
+        envelope = prof.osc * np.power(u, prof.nu) * _f2_osc_series(A, B, C, u)[3]
+        dominated = (alg - alg_bound >= _SCAN_SAFETY * envelope) & (alg > 0.0)
+    return float(xs[dominated.argmax()]) if dominated.any() else None
 
 
 def _scan_values(A, B, C, xs, large, policy):
@@ -592,10 +580,6 @@ def _scan_values(A, B, C, xs, large, policy):
         if v < -8.0 * bnd:
             break
     return np.array(vs), np.array(bnds)
-
-
-def _osc_coeff_magnitudes(A: float, B: float, C: float) -> tuple:
-    return tuple(abs(g) for g in _f2_osc_coeffs(A, B, C))
 
 
 def _refine_witness(A, B, C, x_lo, v_lo, x_hi, v_hi, policy) -> float:
@@ -775,8 +759,7 @@ def convexity_scan(a: float, b: float, u_grid: Sequence[float],
 # Partial Bessel integrals reformulation
 
 
-def askey_szego_check(a: float, b: float, x_grid: Sequence[float],
-                      tol: float = 1e-9) -> dict:
+def askey_szego_check(a: float, b: float, x_grid: Sequence[float]) -> dict:
     """Consistency of two statements: nonnegativity of the partial
     integrals int_0^x t^{b-a} J_{a+b-1}(t) dt, and membership of the pair
     (1 + b/2, a + b/2) in the existence region with base pair (b/2, b/2).
@@ -813,11 +796,11 @@ def askey_szego_check(a: float, b: float, x_grid: Sequence[float],
                     lambda t, dlo, dhi: c_head
                     * math.exp((2.0 * b - 1.0) * math.log(dlo))
                     * bessel_j_normalized(nu, dlo),
-                    lo, hi, tol=min(tol, 1e-11))
+                    lo, hi, tol=1e-11)
                 total += r.value
                 first = False
             else:
-                total += quad.gauss_legendre(f, lo, hi, tol=tol).value
+                total += quad.gauss_legendre(f, lo, hi, tol=1e-9).value
         partials.append(total)
         min_partial = min(min_partial, total)
         prev = x
@@ -924,7 +907,7 @@ def selberg2_closed_form(alpha: float, s: float) -> float:
     )
 
 
-def selberg2_check(alpha: float, s: float, tol: float = 1e-8):
+def selberg2_check(alpha: float, s: float):
     """Tensor quadrature of the planar integral against the closed form.
 
     The diagonal singularity |t-u|^{2s-2a-1} is exposed by v = t - u and
@@ -951,7 +934,7 @@ def selberg2_check(alpha: float, s: float, tol: float = 1e-8):
             return 0.0
         return dlo ** ex * inner(dlo, dhi)
 
-    r = quad.tanh_sinh(outer, 0.0, 1.0, tol=max(tol * 0.1, 1e-10))
+    r = quad.tanh_sinh(outer, 0.0, 1.0, tol=1e-9)
     return 2.0 * r.value, selberg2_closed_form(alpha, s)
 
 

@@ -409,110 +409,79 @@ def _f2_alg_coeffs(a: float, b: float, c: float) -> tuple:
     return pref, tuple(coeffs)
 
 
-def _f2_alg_series(a: float, b: float, c: float, x: float):
-    """Algebraic component of 1F2(a;b,c;-x) at large x (exact coefficients
-    from the Mellin-Barnes residues); returns (value, trunc_bound)."""
+def _f2_alg_series(a: float, b: float, c: float, x: np.ndarray):
+    """Algebraic component of 1F2(a;b,c;-x) on an array x of large values
+    (exact coefficients from the Mellin-Barnes residues); returns
+    (values, trunc_bounds) arrays.  An element stops summing at its first
+    growing term (the mask `active`); raises OverflowError where one
+    would run past the coefficients."""
     pref, coeffs = _f2_alg_coeffs(a, b, c)
-    total = 0.0
-    last = math.inf
-    bound = 0.0
-    for k in range(_F2_KMAX + 1):
-        if k == len(coeffs):
-            raise OverflowError("1F2 algebraic coefficient overflows a double")
-        t = coeffs[k] * x ** (-a - k)
-        at = abs(t)
-        if at > last:
-            bound = at
-            break
-        total += t
+    total, bound = np.zeros(x.shape), np.zeros(x.shape)
+    last = np.full(x.shape, math.inf)
+    active = np.ones(x.shape, dtype=bool)
+    for k, ck in enumerate(coeffs):
+        t = ck * np.power(x, -a - k)
+        at = np.abs(t)
+        np.copyto(bound, at, where=active)
+        active &= ~(at > last)
+        np.add(total, t, out=total, where=active)
         last = at
-        bound = at
+    if len(coeffs) <= _F2_KMAX and active.any():
+        raise OverflowError("1F2 algebraic coefficient overflows a double")
     return pref * total, pref * bound
 
 
-def _f2_asymptotic(a: float, b: float, c: float, x):
-    """1F2(a;b,c;-x) by the large-x expansion; returns (value, abs_bound).
-
-    `x` may also be an ndarray, which returns (values, bounds) arrays of
-    its shape (see _f2_asymptotic_array)."""
-    if isinstance(x, np.ndarray):
-        return _f2_asymptotic_array(a, b, c, x)
-    nu = a - b - c + 0.5
+def _f2_osc_series(a: float, b: float, c: float, u: np.ndarray):
+    """The oscillatory sum s = sum_k g_k u^{-k} on an array u = sqrt(x),
+    stopped like `_f2_alg_series`; returns (re, im, trunc, mag): s, the
+    modulus of the term it stopped at and the sum of the moduli it kept."""
     g = _f2_osc_coeffs(a, b, c)
-    u = math.sqrt(x)
-    tot = 0 + 0j
-    last = math.inf
-    trunc = abs(g[0])
+    re, im, trunc, mag = (np.zeros(u.shape) for _ in range(4))
+    last = np.full(u.shape, math.inf)
+    active = np.ones(u.shape, dtype=bool)
     for k, gk in enumerate(g):
-        t = gk * u ** (-k)
-        at = abs(t)
-        if at > last:
-            trunc = at
-            break
-        tot += t
+        p = np.power(u, -k)
+        t_re, t_im = gk.real * p, gk.imag * p
+        at = np.hypot(t_re, t_im)
+        np.copyto(trunc, at, where=active)
+        active &= ~(at > last)
+        np.add(re, t_re, out=re, where=active)
+        np.add(im, t_im, out=im, where=active)
+        np.add(mag, at, out=mag, where=active)
         last = at
-        trunc = at
-    pref = _f2_alg_coeffs(a, b, c)[0] / math.sqrt(math.pi)
-    env = pref * u ** nu
-    osc = env * (cmath.exp(2j * u + 0.5j * nu * math.pi) * tot).real
-    alg, alg_bound = _f2_alg_series(a, b, c, x)
-    val = alg + osc
-    bound = env * trunc + alg_bound + 2e-14 * (abs(alg) + env * (abs(tot) + 1.0))
-    return val, bound
+    return re, im, trunc, mag
 
 
-def _f2_asymptotic_array(a: float, b: float, c: float, x: np.ndarray):
-    """_f2_asymptotic on every element of `x` > 0, with the scalar form's
-    coefficients, stop rules, order of additions and bound.
+def _f2_asymptotic(a: float, b: float, c: float, x):
+    """1F2(a;b,c;-x) by the large-x expansion (DLMF 16.11): the algebraic
+    residue series plus env(x) Re(e^{i theta} s), theta = 2 sqrt(x) +
+    nu pi/2.  Returns (value, abs_bound): floats for a float x > 0,
+    arrays of x's shape for an ndarray (a float is the one-element array,
+    so both give the same bits).
 
-    Each series is a loop over its terms on the whole array; an element
-    whose term grows stops summing (the mask `active`).  numpy's power
-    rounds differently from libm's on a few percent of arguments, so
-    values can differ from the scalar form's in the last ulp.  Raises
-    OverflowError where the scalar series would run past its coefficients,
-    and where any operation overflows or turns invalid: callers then fall
-    back to the scalar form."""
-    nu = a - b - c + 0.5
-    g = _f2_osc_coeffs(a, b, c)
-    apref, coeffs = _f2_alg_coeffs(a, b, c)
+    The bound adds the two truncation terms, 2e-14 of the parts' sizes,
+    and the phase term 4 * 2^-53 |theta| env |s|: theta is rounded by
+    about 2^-52 |theta| before cos and sin see it.  Raises OverflowError
+    where an element would run past the algebraic coefficients, and
+    where any operation overflows or turns invalid."""
     xs = np.asarray(x, dtype=float).ravel()
+    nu = a - b - c + 0.5
     try:
         with np.errstate(over="raise", invalid="raise"):
             u = np.sqrt(xs)
-            re, im, trunc = np.zeros(xs.shape), np.zeros(xs.shape), np.zeros(xs.shape)
-            last = np.full(xs.shape, math.inf)
-            active = np.ones(xs.shape, dtype=bool)
-            for k, gk in enumerate(g):
-                p = np.power(u, -k)
-                t_re, t_im = gk.real * p, gk.imag * p
-                at = np.hypot(t_re, t_im)
-                np.copyto(trunc, at, where=active)
-                active &= ~(at > last)
-                np.add(re, t_re, out=re, where=active)
-                np.add(im, t_im, out=im, where=active)
-                last = at
-            alg = np.zeros(xs.shape)
-            alg_bound = np.zeros(xs.shape)
-            last = np.full(xs.shape, math.inf)
-            active = np.ones(xs.shape, dtype=bool)
-            for k, ck in enumerate(coeffs):
-                t = ck * np.power(xs, -a - k)
-                at = np.abs(t)
-                np.copyto(alg_bound, at, where=active)
-                active &= ~(at > last)
-                np.add(alg, t, out=alg, where=active)
-                last = at
-            if len(coeffs) <= _F2_KMAX and active.any():
-                raise OverflowError("1F2 algebraic coefficient overflows a double")
-            alg *= apref
-            alg_bound *= apref
-            env = apref / math.sqrt(math.pi) * np.power(u, nu)
+            re, im, trunc, _ = _f2_osc_series(a, b, c, u)
+            alg, alg_bound = _f2_alg_series(a, b, c, xs)
+            env = _f2_alg_coeffs(a, b, c)[0] / math.sqrt(math.pi) * np.power(u, nu)
             theta = 2.0 * u + 0.5 * nu * math.pi
             val = alg + env * (np.cos(theta) * re - np.sin(theta) * im)
-            bound = env * trunc + alg_bound + 2e-14 * (np.abs(alg) + env * (np.hypot(re, im) + 1.0))
+            size = np.hypot(re, im)
+            bound = (env * trunc + alg_bound + 2e-14 * (np.abs(alg) + env * (size + 1.0))
+                     + 4.0 * 2.0 ** -53 * np.abs(theta) * env * size)
     except FloatingPointError as exc:
         raise OverflowError(f"1F2 large-x expansion leaves the double range: {exc}") from exc
-    return val.reshape(np.shape(x)), bound.reshape(np.shape(x))
+    if isinstance(x, np.ndarray):
+        return val.reshape(x.shape), bound.reshape(x.shape)
+    return float(val[0]), float(bound[0])
 
 
 # large-x expansion becomes competitive with the 50-digit series here
@@ -561,7 +530,9 @@ def hyp1f2_with_bound(a: float, b: float, c: float, x: float,
     policy target; the large-x expansion for x <= -_F2_ASYM_MIN_X when its
     bound is at least as good; otherwise the fixed-50-digit series.  The
     expansion's Gamma prefactor needs a, b, c > 0, so any other parameters
-    go to the 50-digit series at every large x.
+    go to the 50-digit series at every large x, as do points where the
+    expansion leaves the double range (`_f2_asymptotic` raises
+    OverflowError).
     """
     _f2_pole_check(b, c)
     if x == 0.0:
@@ -576,9 +547,11 @@ def hyp1f2_with_bound(a: float, b: float, c: float, x: float,
     ax = -x
     abound = math.inf
     if ax >= _F2_ASYM_MIN_X and min(a, b, c) > 0.0:
-        aval, abound = _f2_asymptotic(a, b, c, ax)
-        need = max(policy.target_abs_tol, policy.target_rel_tol * abs(aval))
-        if abound <= need:
+        try:
+            aval, abound = _f2_asymptotic(a, b, c, ax)
+        except OverflowError:   # the expansion leaves the double range
+            aval, abound = math.nan, math.inf
+        if abound <= max(policy.target_abs_tol, policy.target_rel_tol * abs(aval)):
             return aval, abound
     hval, hbound = _f2_highprec_series(a, b, c, x, policy.highprec_digits)
     if abound < hbound:

@@ -47,6 +47,13 @@ def series_hyp1f2(a, b, c, x, dps=None):
         return float(tot)
 
 
+def mp_hyp1f2(a, b, c, x, dps=60):
+    """mpmath's hyp1f2 at `dps` digits (its own convergent and asymptotic
+    series), for x where the direct series would need thousands of digits."""
+    with mp.workdps(dps):
+        return float(mp.hyp1f2(a, b, c, x))
+
+
 def bisect_first_j_zero(alpha, lo, hi, dps=40):
     """Sign-change bisection on the high-precision series."""
     with mp.workdps(dps):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -155,6 +156,27 @@ class TestGammatypeCommands:
         code = run(["gammatype", command[0], "-a", "1", "-b", "1", *command[1:],
                     "--resolution", "0", "--out", str(tmp_path / "x.out")])
         assert code == 2
+
+    # sha256 of the output bytes at fixed inputs: a change that keeps
+    # behaviour keeps these bytes, and any change of a verdict, a bracket
+    # or a number's last printed digit shows here
+    PINNED_OUTPUTS = [
+        (["boundary", "-a", "1", "-b", "1", "--u-from", "3.5", "--u-to", "6.5",
+          "--u-count", "4"],
+         "a79d2cdd038120cf85570c110b72aa5cb21123ca09222db09de15902b6159bf3"),
+        (["exists", "-a", "1", "-b", "1", "-c", "2", "-d", "5"],
+         "2349f6088edf004d214574f63d9e3480be2fca6c70c6cd9f7347885300e0901b"),
+        (["convexity", "-a", "0.5", "-b", "0.5", "--u-from", "2.5", "--u-to", "3.5",
+          "--u-count", "3"],
+         "2def64e70d87449edcf903ec339f3b5a2699edb9498e3ccaba974830a4f634f4"),
+    ]
+
+    @pytest.mark.parametrize("command, sha256", PINNED_OUTPUTS,
+                             ids=[case[0][0] for case in PINNED_OUTPUTS])
+    def test_output_bytes_pinned(self, command, sha256, tmp_path):
+        out = tmp_path / "out"
+        assert run(["gammatype", *command, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     def test_density(self, tmp_path):
         out = tmp_path / "d.json"

@@ -242,7 +242,8 @@ class TestScan:
         assert out.kind == "Nonnegative"
         assert out.bound is not None and out.bound > 0
 
-    # whole outcomes recorded from the one-call-per-point march, for scans
+    # whole outcomes recorded from the one-call-per-point march (the bounds
+    # in `detail` include the phase term of the large-x bound), for scans
     # that reach the large-x array chunks: witnesses past x = 160 out to
     # 8.7e6, the full-cap Indeterminate, the x_stop = 2^23 Nonnegative of
     # boundary_f_ab(1, 1, 3.5), and witnesses at the first point of a chunk
@@ -253,11 +254,11 @@ class TestScan:
         ((2.734, 5.024, 3.438), "Negative", 220.88723389693314, None,
          "verified value -3.9418e-07 (bound 1.55e-16)"),
         ((1.654, 2.629, 2.672), "Negative", 516.8637944082618, None,
-         "verified value -1.50722e-06 (bound 6.21e-18)"),
+         "verified value -1.50722e-06 (bound 7.54e-18)"),
         ((1.682, 3.089, 2.385), "Negative", 12304.490831239016, None,
-         "verified value -5.13715e-10 (bound 1.85e-20)"),
+         "verified value -5.13715e-10 (bound 4.82e-20)"),
         ((2.174, 3.757, 3.169), "Negative", 8731188.86115756, None,
-         "verified value -8.99205e-19 (bound 5.72e-28)"),
+         "verified value -8.99205e-19 (bound 2.56e-26)"),
         ((1.343, 2.165, 2.35), "Indeterminate", None, None,
          "no verified witness below x=1e+08; ambiguity 0"),
         ((2.0, 2.37109375, 4.5), "Nonnegative", None, 8388608.0,
@@ -265,9 +266,9 @@ class TestScan:
         ((3.65, 5.25, 5.36), "Negative", 158.3585917536466, None,
          "verified value -3.24435e-07 (bound 2.04e-15)"),
         ((3.65, 5.25, 5.53), "Negative", 640.6315068366512, None,
-         "verified value -1.86998e-09 (bound 9.68e-21)"),
+         "verified value -1.86998e-09 (bound 1.22e-20)"),
         ((3.3, 4.655, 5.445), "Negative", 45717.85221684817, None,
-         "verified value -2.72565e-16 (bound 1.83e-26)"),
+         "verified value -2.72565e-16 (bound 7.49e-26)"),
     ]
 
     @pytest.mark.parametrize("abc, kind, witness, bound, detail", SCAN_OUTCOMES,
