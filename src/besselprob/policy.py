@@ -12,8 +12,9 @@ class PrecisionPolicy:
     target_abs_tol / target_rel_tol
         Accuracy goals for kernel evaluations and quadratures.
     highprec_digits
-        Significant digits used on the cancellation path of the
-        hypergeometric kernel (>= 50); fixed, not adaptive.
+        Decimal digits below the peak term kept by the exact fixed-point
+        1F2 series on its cancellation path (>= 50), so its absolute
+        error is about 10^-highprec_digits; fixed, not adaptive.
     """
 
     target_abs_tol: float = 1e-11

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from mpmath import libmp
 
 from . import backend
 from ._kernels_py import _LANCZOS_C, _LANCZOS_G
@@ -294,7 +293,7 @@ def pochhammer_ratio(spec, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# 1F2 evaluation: direct series, fixed-50-digit series, large-x expansion
+# 1F2 evaluation: direct series, exact fixed-point series, large-x expansion
 
 
 @dataclass(frozen=True)
@@ -393,8 +392,13 @@ def _f2_alg_coeffs(a: float, b: float, c: float) -> tuple:
     coeffs[k] = (-1)^k/k! Gamma(a+k) / (Gamma(b-a-k) Gamma(c-a-k)),
     the Mellin-Barnes residues (DLMF 16.11), so that term k of the series
     is pref * coeffs[k] * x^{-a-k}.  The tuple ends before the first
-    coefficient whose Gamma factor overflows a double."""
-    pref = math.exp(ln_gamma(b) + ln_gamma(c) - ln_gamma(a))
+    coefficient whose Gamma factor overflows a double; raises
+    OverflowError where pref does."""
+    try:
+        pref = math.exp(ln_gamma(b) + ln_gamma(c) - ln_gamma(a))
+    except OverflowError:
+        raise OverflowError(f"1F2 prefactor Gamma(b) Gamma(c) / Gamma(a) overflows a double "
+                            f"at a={a!r}, b={b!r}, c={c!r}") from None
     coeffs = []
     sign = 1.0
     fact = 1.0
@@ -484,42 +488,77 @@ def _f2_asymptotic(a: float, b: float, c: float, x):
     return float(val[0]), float(bound[0])
 
 
-# large-x expansion becomes competitive with the 50-digit series here
+# the large-x expansion takes over from the fixed-point series here
 _F2_ASYM_MIN_X = 160.0
+
+# term cap of the fixed-point series: at 50 digits x = -1.45e6 takes about
+# 4,400 terms, and past x ~ -2.7e6 it would need more
+_F2_HP_TERMS = 6000
 
 
 def _f2_highprec_series(a: float, b: float, c: float, x: float, digits: int):
-    """Fixed-`digits` summation of the defining series; returns
-    (value, abs_bound).  Not adaptive: callers escalate explicitly.
+    """The defining series summed exactly in binary fixed point; returns
+    (value, abs_bound), the value correctly rounded from a sum whose
+    absolute error is about 10^-digits.  Not adaptive: callers escalate
+    explicitly.  Returns (nan, inf) where the sum would need more than
+    _F2_HP_TERMS terms.
 
-    Works on raw mpmath.libmp values: every step is the same rounded
-    operation, in the same order, that mpf arithmetic under
-    mpmath.workdps(digits) performs, at dps_to_prec(digits) bits with
-    rounding to nearest, so results equal the mpf formulation bit for bit
-    without its per-operation object dispatch."""
-    prec = libmp.dps_to_prec(digits)
-    rnd = libmp.round_nearest
-    add, mul, div = libmp.mpf_add, libmp.mpf_mul, libmp.mpf_div
-    mul_int, mpf_abs, from_int = libmp.mpf_mul_int, libmp.mpf_abs, libmp.from_int
-    # convert the inputs once, as mpf(v) does (exactly when prec >= 53)
-    aa, bb, cc, xx = (libmp.mpf_pos(libmp.from_float(v), prec, rnd) for v in (a, b, c, x))
-    term = total = max_term = libmp.fone
-    # loop-invariant part of the stopping test, 1e-8 * 10^-digits
-    stop = mul(libmp.mpf_pow_int(from_int(10), -digits, prec, rnd), libmp.from_float(1e-8), prec, rnd)
-    n = 0
-    for n in range(1, 6000):
-        m = from_int(n - 1)
-        num = mul(add(aa, m, prec, rnd), xx, prec, rnd)
-        den = mul_int(mul(add(bb, m, prec, rnd), add(cc, m, prec, rnd), prec, rnd), n, prec, rnd)
-        term = div(mul(term, num, prec, rnd), den, prec, rnd)
-        at = mpf_abs(term, prec, rnd)
-        if libmp.mpf_gt(at, max_term):
-            max_term = at
-        total = add(total, term, prec, rnd)
-        if libmp.mpf_lt(at, mul(stop, add(mpf_abs(total, prec, rnd), max_term, prec, rnd), prec, rnd)):
+    a, b, c and x enter as exact rationals, so term n in units of 2^-P is
+    T_n = floor(T_{n-1} num_n / den_n) with integer num_n and den_n.  A
+    float pass over log2 |term| finds the peak term, which sets
+    P = floor(log2 peak) + digits log2(10) + 16 guard bits, and the last
+    term N.  The bound is computed, not estimated: each floor adds under
+    one unit, which the later ratios carry forward; the int `carried`
+    bounds that carried error (+ 2: one for the new floor, one for
+    flooring the carry itself).  Past N every ratio is at most 1/2, so the
+    tail is below |T_N| + carried units; half an ulp of the returned
+    double comes last."""
+    ax = abs(x)
+    big, small = max(b, c), min(b, c)
+    lowest = min(a, small)
+    guard = math.ceil(digits * math.log2(10.0)) + 16
+    log2 = math.log2
+    log_t = peak = 0.0
+    last, tail = None, True
+    for n in range(1, _F2_HP_TERMS):
+        m = n - 1
+        if a + m == 0.0:            # term n and all later ones vanish
+            last, tail = m, False
             break
-    bound = libmp.to_float(max_term, rnd=rnd) * 10.0 ** (2 - digits) * max(1.0, 0.05 * n)
-    return libmp.to_float(total, rnd=rnd), bound
+        log_t += log2(abs((a + m) * x / (b + m) / (c + m) / n))
+        if log_t > peak:
+            peak = log_t
+        # for k >= n with a + k, b + k, c + k > 0 the ratio of term k + 1
+        # to term k is at most rho: (a + k) / (big + k) and
+        # 1 / ((small + k) (k + 1)) do not grow with k
+        elif log_t + peak + guard < 0.0 and lowest + n > 0.0:
+            rho = ax * max(1.0, (a + n) / (big + n)) / ((small + n) * (n + 1))
+            if rho <= 0.5 * (1.0 - 1e-12):
+                last = n
+                break
+    if last is None:
+        return math.nan, math.inf
+    prec = math.floor(peak) + guard
+    (pa, qa), (pb, qb), (pc, qc), (px, qx) = (v.as_integer_ratio() for v in (a, b, c, x))
+    kn, kd = px * qb * qc, qa * qx
+    g = math.gcd(kn, kd)
+    kn, kd = kn // g, kd // g
+    term = total = 1 << prec
+    carried = err = 0
+    for n in range(1, last + 1):
+        m = n - 1
+        num = (pa + m * qa) * kn
+        den = (pb + m * qb) * (pc + m * qc) * n * kd
+        term = term * num // den
+        carried = abs(carried * num // den) + 2
+        total += term
+        err += carried
+    if tail:
+        err += abs(term) + carried
+    value = total / (1 << prec)
+    # the factor covers the three roundings of this line
+    bound = (err / (1 << prec) + 0.5 * math.ulp(value)) * (1.0 + 2.0 ** -50)
+    return value, bound
 
 
 def hyp1f2_with_bound(a: float, b: float, c: float, x: float,
@@ -528,11 +567,15 @@ def hyp1f2_with_bound(a: float, b: float, c: float, x: float,
 
     Route: direct double series while its cancellation bound meets the
     policy target; the large-x expansion for x <= -_F2_ASYM_MIN_X when its
-    bound is at least as good; otherwise the fixed-50-digit series.  The
-    expansion's Gamma prefactor needs a, b, c > 0, so any other parameters
-    go to the 50-digit series at every large x, as do points where the
-    expansion leaves the double range (`_f2_asymptotic` raises
-    OverflowError).
+    bound meets the target; otherwise the exact fixed-point series at
+    policy.highprec_digits, or the expansion where its bound is smaller.
+    The expansion's Gamma prefactor needs a, b, c > 0, so any other
+    parameters go to the fixed-point series at every large x, as do points
+    where the expansion leaves the double range (`_f2_asymptotic` raises
+    OverflowError).  Past x ~ -2.7e6 the fixed-point series declines
+    (nan, inf bound), so where the expansion misses the target there, or
+    does not apply, the bound misses it too and `hyp1f2` raises
+    AccuracyError.
     """
     _f2_pole_check(b, c)
     if x == 0.0:

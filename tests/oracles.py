@@ -29,12 +29,14 @@ def series_bessel_i(alpha, z, dps=50, terms=400):
         return float(tot)
 
 
-def series_hyp1f2(a, b, c, x, dps=None):
-    """Direct summation with working precision scaled to the cancellation."""
+def _cancellation_dps(x):
     import math
 
-    if dps is None:
-        dps = int(2.0 * math.sqrt(abs(x)) / math.log(10)) + 45
+    return int(2.0 * math.sqrt(abs(x)) / math.log(10)) + 45
+
+
+def _hyp1f2_sum(a, b, c, x, dps):
+    """The direct sum at `dps` digits, as an mpf."""
     with mp.workdps(dps):
         A, B, C, X = (mp.mpf(v) for v in (a, b, c, x))
         term = mp.mpf(1)
@@ -44,7 +46,21 @@ def series_hyp1f2(a, b, c, x, dps=None):
             tot += term
             if abs(term) < mp.mpf(10) ** (-(dps - 10)) * (abs(tot) + 1):
                 break
-        return float(tot)
+        return tot
+
+
+def series_hyp1f2(a, b, c, x, dps=None):
+    """Direct summation with working precision scaled to the cancellation."""
+    return float(_hyp1f2_sum(a, b, c, x, dps or _cancellation_dps(x)))
+
+
+def series_hyp1f2_abs_error(value, a, b, c, x):
+    """|value - 1F2(a; b, c; x)| as an mpf, against the direct sum of
+    `series_hyp1f2` before it is rounded to a double."""
+    dps = _cancellation_dps(x)
+    exact = _hyp1f2_sum(a, b, c, x, dps)
+    with mp.workdps(dps):
+        return abs(mp.mpf(value) - exact)
 
 
 def mp_hyp1f2(a, b, c, x, dps=60):

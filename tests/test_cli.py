@@ -178,6 +178,13 @@ class TestGammatypeCommands:
         assert run(["gammatype", *command, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
+    # boundary_f_ab's escalation precision as the base one: the same bytes
+    def test_boundary_output_pinned_at_80_digits(self, tmp_path):
+        command, sha256 = self.PINNED_OUTPUTS[0]
+        out = tmp_path / "out"
+        assert run(["gammatype", *command, "--highprec-digits", "80", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
     def test_density(self, tmp_path):
         out = tmp_path / "d.json"
         code = run(["gammatype", "density", "--spec-json", '{"a": [1]}',

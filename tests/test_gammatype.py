@@ -226,6 +226,11 @@ class TestScan:
         out = gt.f2_nonneg_scan(1.3, 2.0, 2.4)
         assert out.kind in ("Nonnegative", "Negative")
 
+    def test_prefactor_overflow_named(self):
+        # Gamma(240)^2 / Gamma(158) is past the double range
+        with pytest.raises(OverflowError, match=r"Gamma\(b\) Gamma\(c\) / Gamma\(a\) .* a=158, b=240, c=240"):
+            gt.f2_nonneg_scan(158, 240, 240)
+
     def test_square_structure(self):
         out = gt.f2_nonneg_scan(2.0, 4.0, 2.5)
         assert out.kind == "Nonnegative" and out.bound == math.inf

@@ -396,27 +396,8 @@ class TestPochhammer:
         assert prod == pytest.approx(1.0, rel=1e-11)
 
 
-def _mpf_highprec_series(a, b, c, x, digits):
-    """The fixed-precision 1F2 summation in mpmath.mpf arithmetic: the
-    reference that specfun._f2_highprec_series must match bit for bit."""
-    import mpmath
-
-    with mpmath.workdps(digits):
-        aa, bb, cc, xx = (mpmath.mpf(v) for v in (a, b, c, x))
-        term = mpmath.mpf(1)
-        total = mpmath.mpf(1)
-        max_term = mpmath.mpf(1)
-        n = 0
-        for n in range(1, 6000):
-            term = term * ((aa + (n - 1)) * xx) / ((bb + (n - 1)) * (cc + (n - 1)) * n)
-            at = abs(term)
-            if at > max_term:
-                max_term = at
-            total += term
-            if at < 1e-8 * mpmath.mpf(10) ** (-digits) * (abs(total) + max_term):
-                break
-        bound = float(max_term) * 10.0 ** (2 - digits) * max(1.0, 0.05 * n)
-        return float(total), bound
+# b and c of 1F2 at least 1e-3 from its poles 0, -1, -2, ...
+_OFF_POLES = st.floats(-3.0, 6.0).filter(lambda v: v >= 1e-3 or abs(v - round(v)) >= 1e-3)
 
 
 class TestHyp1F2:
@@ -452,11 +433,11 @@ class TestHyp1F2:
     # to the order or precision of the arithmetic on these routes shows here
     FROZEN_BITS = [
         # 50-digit series
-        ((1.3, 2.0, 2.4, -130.0, 50), "0x1.a18cd0538aa34p-9", "0x1.141a46e1f0c27p-138"),
-        ((0.8, 1.2, 2.6, -109.9, 50), "0x1.d9eeabfc3da5fp-7", "0x1.c4860ca5d4148p-141"),
-        ((0.5, 3.0, 8.0, -200.0, 50), "0x1.1e55692452919p-2", "0x1.78e3448421455p-148"),
+        ((1.3, 2.0, 2.4, -130.0, 50), "0x1.a18cd0538aa34p-9", "0x1.0000000000004p-62"),
+        ((0.8, 1.2, 2.6, -109.9, 50), "0x1.d9eeabfc3da5fp-7", "0x1.0000000000004p-60"),
+        ((0.5, 3.0, 8.0, -200.0, 50), "0x1.1e55692452919p-2", "0x1.0000000000004p-55"),
         # 80-digit series
-        ((1.5, 3.0, 2.0, -130.0, 80), "0x1.8f951e8994f00p-10", "0x1.037085661650fp-238"),
+        ((1.5, 3.0, 2.0, -130.0, 80), "0x1.8f951e8994f00p-10", "0x1.0000000000004p-63"),
         # large-x expansion (bounds include the phase rounding term)
         ((1.3, 2.0, 2.4, -2.0e4, 50), "0x1.4ddd01cadf96ap-20", "0x1.bfcdcd1e49642p-62"),
         ((1.0, 1.0, 3.5, -180.0, 50), "-0x1.8c1e235795593p-11", "0x1.653d318f8a3fep-55"),
@@ -469,14 +450,27 @@ class TestHyp1F2:
         got = specfun.hyp1f2_with_bound(*abcx, PrecisionPolicy(highprec_digits=digits))
         assert got == (float.fromhex(value), float.fromhex(bound))
 
-    @given(a=st.floats(0.05, 6.0), b=st.floats(0.1, 10.0), c=st.floats(0.1, 10.0),
-           x=st.floats(-300.0, -1.0), digits=st.sampled_from([15, 50, 80]))
+    # the fixed-point sum is exact up to about 10^-digits, so its double is
+    # the correctly rounded one, and the bound holds that error plus the
+    # final rounding; parameters of either sign, off the poles of b and c
+    @given(a=st.floats(-3.0, 6.0), b=_OFF_POLES, c=_OFF_POLES,
+           x=st.floats(-2000.0, -1.0), digits=st.sampled_from([50, 80]))
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_highprec_series_matches_mpf_formulation(self, a, b, c, x, digits):
-        # bit equality with the same summation written in mpf arithmetic;
-        # at 15 digits the cancellation exposes any change of operation order
-        got = specfun._f2_highprec_series(a, b, c, x, digits)
-        assert got == _mpf_highprec_series(a, b, c, x, digits)
+    @example(a=1.3, b=2.0, c=2.4, x=-130.0, digits=50)
+    @example(a=-2.0, b=-0.5, c=2.5, x=-300.0, digits=80)
+    def test_highprec_series_against_exact_sum(self, a, b, c, x, digits):
+        v, bound = specfun._f2_highprec_series(a, b, c, x, digits)
+        assert v == oracles.series_hyp1f2(a, b, c, x)
+        assert oracles.series_hyp1f2_abs_error(v, a, b, c, x) <= bound
+
+    # the large-x bound misses the target at x = -1.45e6 (its phase term),
+    # where the series takes about 4,400 terms; at x = -4e6 it would need
+    # more than _F2_HP_TERMS and declines instead of summing them
+    def test_highprec_series_term_cap(self):
+        abc = (2.64, 1.55, 0.76)
+        assert specfun.hyp1f2(*abc, -1.45e6) == oracles.mp_hyp1f2(*abc, -1.45e6)
+        v, bound = specfun._f2_highprec_series(*abc, -4e6, 50)
+        assert math.isnan(v) and bound == math.inf
 
     def test_alg_series_coefficient_overflow(self):
         # the cached residue coefficients end where Gamma(a+k) overflows; the
