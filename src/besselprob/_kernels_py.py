@@ -9,6 +9,7 @@ Everything here is pure and reentrant.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "bessel_j_prime",
     "bessel_i",
     "hyp1f2_series",
+    "hyp1f2_fixed_point",
     "j_crossover",
     "BACKEND_NAME",
 ]
@@ -89,9 +91,8 @@ def digamma(x: float) -> float:
 def j_crossover(alpha: float) -> float:
     """Smallest argument where the large-argument expansion is reliable
     (~1e-12); calibrated empirically, growing like alpha^2/4 for large
-    orders.  Below it the power series is used, with a high-precision
-    fallback for the large-order window where its cancellation exceeds
-    ~1e-11."""
+    orders.  Below it the power series is used, or past `_SERIES_BOUND_MAX`
+    (orders above ~7) the exact fixed-point sum `_bessel_j_fixed_point`."""
     return max(14.0, 0.25 * alpha * alpha + 2.0)
 
 
@@ -103,7 +104,9 @@ _MAX_SERIES_TERMS = 400
 _HANKEL_TERMS = 40          # the P/Q sums stop before term k = 40 ...
 _HANKEL_TINY = 1e-18        # ... or at a term this small, or growing
 _SERIES_STOP = 1e-17        # the series stops at a term this small relative to its sum
-_SERIES_BOUND_MAX = 2e-11   # a larger series bound hands over to the 50-digit series
+_SERIES_BOUND_MAX = 2e-11   # a larger series bound hands over to the fixed-point sum
+_SERIES_LOG_MAX = 700.0     # a larger log prefactor starts the series at inf, before exp
+                            # overflows (its bound exceeds _SERIES_BOUND_MAX anyway)
 
 
 def _half_integer_order(alpha: float) -> int:
@@ -164,9 +167,10 @@ def _bessel_i_half(k: int, z: float) -> float:
 def _bessel_j_series_bound(alpha: float, z: float) -> tuple[float, float]:
     """Kahan-compensated power series with a cancellation bound
     (~eps * max term); the bound explodes once e^z outruns the order
-    suppression."""
+    suppression, and is inf where the terms leave the double range."""
     half = 0.5 * z
-    term = math.exp(alpha * math.log(half) - ln_gamma(alpha + 1.0))
+    log_term = alpha * math.log(half) - ln_gamma(alpha + 1.0)
+    term = math.exp(log_term) if log_term < _SERIES_LOG_MAX else math.inf
     ratio = -half * half
     total = term
     comp = 0.0
@@ -185,12 +189,15 @@ def _bessel_j_series_bound(alpha: float, z: float) -> tuple[float, float]:
     return total, 4e-16 * max_term
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _bessel_j_series_bound_array(alpha: float, z: np.ndarray) -> tuple:
     """`_bessel_j_series_bound` elementwise; an element whose term falls
-    below the stopping rule stops summing (the mask `active`)."""
+    below the stopping rule stops summing (the mask `active`), and one
+    whose terms leave the double range sums inf or nan, as the scalar."""
     half = 0.5 * z
     lg = ln_gamma(alpha + 1.0)
-    term = np.array([math.exp(alpha * math.log(h) - lg) for h in half.tolist()])
+    log_term = [alpha * math.log(h) - lg for h in half.tolist()]
+    term = np.array([math.exp(v) if v < _SERIES_LOG_MAX else math.inf for v in log_term])
     ratio = -half * half
     total = term.copy()
     comp = np.zeros_like(z)
@@ -305,11 +312,21 @@ def bessel_j(alpha: float, z: float) -> float:
     if z >= j_crossover(alpha):
         return bessel_j_asymptotic(alpha, z)
     val, bound = _bessel_j_series_bound(alpha, z)
-    if bound <= _SERIES_BOUND_MAX:
-        return val
-    from . import _highprec
+    return val if bound <= _SERIES_BOUND_MAX else _bessel_j_fixed_point(alpha, z)
 
-    return _highprec.bessel_j_mp(alpha, z)
+
+def _bessel_j_fixed_point(alpha: float, z: float) -> float:
+    """J_alpha(z) = (z/2)^f / Gamma(f+1) F 0F1(; alpha+1; -z^2/4) with
+    n = max(0, floor(alpha)), f = alpha - n, F = prod_{k=1..n} (z/2)/(f+k):
+    0F1 as 1F2 at a = b = 1, 50 digits, no term cap, F folded into the sum
+    before its one rounding (F alone may overflow: ~1e317 at (180.3, 8000))."""
+    n = max(0, math.floor(alpha))
+    f = alpha - n
+    (pa, qa), (pf, qf), (pz, qz) = (v.as_integer_ratio() for v in (alpha, f, z))
+    fold = ((pz * qf) ** n, (2 * qz) ** n * math.prod(pf + k * qf for k in range(1, n + 1)))
+    val, _ = hyp1f2_fixed_point((1, 1), (1, 1), (pa + qa, qa), (-pz * pz, 4 * qz * qz), fold,
+                                50, sys.maxsize)
+    return val * (0.5 * z) ** f / math.gamma(f + 1.0)
 
 
 def bessel_j_array(alpha: float, z) -> np.ndarray:
@@ -319,7 +336,7 @@ def bessel_j_array(alpha: float, z) -> np.ndarray:
 
     Each element takes the route `bessel_j` takes for it (zero, the
     half-integer closed form, the Hankel expansion from `j_crossover`, the
-    series, the 50-digit series past `_SERIES_BOUND_MAX`).  The stopping
+    series, the fixed-point sum past `_SERIES_BOUND_MAX`).  The stopping
     rules of the Hankel sums and the series are masks of the elements
     still summing, so every element sees the scalar operations in the
     scalar order.  exp and log run per element in `math`: numpy's SIMD
@@ -355,10 +372,7 @@ def bessel_j_array(alpha: float, z) -> np.ndarray:
             zs = flat[series]
             val, bound = _bessel_j_series_bound_array(alpha, zs)
             far = ~(bound <= _SERIES_BOUND_MAX)
-            if far.any():
-                from . import _highprec
-
-                val[far] = [_highprec.bessel_j_mp(alpha, v) for v in zs[far].tolist()]
+            val[far] = [_bessel_j_fixed_point(alpha, v) for v in zs[far].tolist()]
             out[series] = val
     return out.reshape(z.shape)
 
@@ -475,3 +489,66 @@ def hyp1f2_series(a: float, b: float, c: float, x: float) -> tuple[float, float,
             break
     err = 4.0e-15 * max_term * (1.0 + n / 16.0)
     return total, err, n
+
+
+def hyp1f2_fixed_point(a: tuple, b: tuple, c: tuple, x: tuple, scale: tuple, digits: int,
+                       max_terms: int) -> tuple[float, float]:
+    """scale * 1F2(a; b, c; x) summed exactly in binary fixed point; each
+    argument but digits and max_terms is an exact rational as an int pair
+    (numerator, positive denominator).  Returns (value, abs_bound), the
+    value correctly rounded, or (nan, inf) where the sum needs max_terms
+    terms or more (sys.maxsize: no cap).  Term n is T_n = floor(T_{n-1}
+    num_n / den_n) in units of 2^-P, from T_0 = floor(scale 2^P), with
+    P = floor(log2 peak term, at least 0) + digits log2(10) + 16.  The
+    bound adds the carried floors (`carried`: + 1 for each new floor, + 1
+    for flooring the carry), the tail past the last term N, after which
+    every ratio is at most 1/2, and half an ulp of the returned double."""
+    (pa, qa), (pb, qb), (pc, qc), (px, qx), (sn, sd) = a, b, c, x, scale
+    fa, fb, fc, fx = pa / qa, pb / qb, pc / qc, px / qx
+    ax = abs(fx)
+    big, small = max(fb, fc), min(fb, fc)
+    lowest = min(fa, small)
+    guard = math.ceil(digits * math.log2(10.0)) + 16
+    log2 = math.log2
+    log_t = log2(abs(sn)) - log2(sd)
+    peak = max(0.0, log_t)
+    tail = True
+    for n in range(1, max_terms):
+        m = n - 1
+        if fa + m == 0.0:           # term n and all later ones vanish
+            last, tail = m, False
+            break
+        log_t += log2(abs((fa + m) * fx / (fb + m) / (fc + m) / n))
+        if log_t > peak:
+            peak = log_t
+        # for k >= n with a + k, b + k, c + k > 0 the ratio of term k + 1
+        # to term k is at most rho: (a + k) / (big + k) and
+        # 1 / ((small + k) (k + 1)) do not grow with k
+        elif log_t + peak + guard < 0.0 and lowest + n > 0.0:
+            rho = ax * max(1.0, (fa + n) / (big + n)) / ((small + n) * (n + 1))
+            if rho <= 0.5 * (1.0 - 1e-12):
+                last = n
+                break
+    else:
+        return math.nan, math.inf
+    prec = math.floor(peak) + guard
+    kn, kd = px * qb * qc, qa * qx
+    g = math.gcd(kn, kd)
+    kn, kd = kn // g, kd // g
+    term, rem = divmod(sn << prec, sd)
+    total = term
+    carried = err = 1 if rem else 0
+    for n in range(1, last + 1):
+        m = n - 1
+        num = (pa + m * qa) * kn
+        den = (pb + m * qb) * (pc + m * qc) * n * kd
+        term = term * num // den
+        carried = abs(carried * num // den) + 2
+        total += term
+        err += carried
+    if tail:
+        err += abs(term) + carried
+    value = total / (1 << prec)
+    # the factor covers the three roundings of this line
+    bound = (err / (1 << prec) + 0.5 * math.ulp(value)) * (1.0 + 2.0 ** -50)
+    return value, bound

@@ -20,6 +20,7 @@ from ._kernels_py import (
     bessel_j_prime,
     bessel_j_series,
     digamma,
+    hyp1f2_fixed_point,
     hyp1f2_series,
     j_crossover,
     ln_gamma,

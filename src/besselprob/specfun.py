@@ -497,68 +497,10 @@ _F2_HP_TERMS = 6000
 
 
 def _f2_highprec_series(a: float, b: float, c: float, x: float, digits: int):
-    """The defining series summed exactly in binary fixed point; returns
-    (value, abs_bound), the value correctly rounded from a sum whose
-    absolute error is about 10^-digits.  Not adaptive: callers escalate
-    explicitly.  Returns (nan, inf) where the sum would need more than
-    _F2_HP_TERMS terms.
-
-    a, b, c and x enter as exact rationals, so term n in units of 2^-P is
-    T_n = floor(T_{n-1} num_n / den_n) with integer num_n and den_n.  A
-    float pass over log2 |term| finds the peak term, which sets
-    P = floor(log2 peak) + digits log2(10) + 16 guard bits, and the last
-    term N.  The bound is computed, not estimated: each floor adds under
-    one unit, which the later ratios carry forward; the int `carried`
-    bounds that carried error (+ 2: one for the new floor, one for
-    flooring the carry itself).  Past N every ratio is at most 1/2, so the
-    tail is below |T_N| + carried units; half an ulp of the returned
-    double comes last."""
-    ax = abs(x)
-    big, small = max(b, c), min(b, c)
-    lowest = min(a, small)
-    guard = math.ceil(digits * math.log2(10.0)) + 16
-    log2 = math.log2
-    log_t = peak = 0.0
-    last, tail = None, True
-    for n in range(1, _F2_HP_TERMS):
-        m = n - 1
-        if a + m == 0.0:            # term n and all later ones vanish
-            last, tail = m, False
-            break
-        log_t += log2(abs((a + m) * x / (b + m) / (c + m) / n))
-        if log_t > peak:
-            peak = log_t
-        # for k >= n with a + k, b + k, c + k > 0 the ratio of term k + 1
-        # to term k is at most rho: (a + k) / (big + k) and
-        # 1 / ((small + k) (k + 1)) do not grow with k
-        elif log_t + peak + guard < 0.0 and lowest + n > 0.0:
-            rho = ax * max(1.0, (a + n) / (big + n)) / ((small + n) * (n + 1))
-            if rho <= 0.5 * (1.0 - 1e-12):
-                last = n
-                break
-    if last is None:
-        return math.nan, math.inf
-    prec = math.floor(peak) + guard
-    (pa, qa), (pb, qb), (pc, qc), (px, qx) = (v.as_integer_ratio() for v in (a, b, c, x))
-    kn, kd = px * qb * qc, qa * qx
-    g = math.gcd(kn, kd)
-    kn, kd = kn // g, kd // g
-    term = total = 1 << prec
-    carried = err = 0
-    for n in range(1, last + 1):
-        m = n - 1
-        num = (pa + m * qa) * kn
-        den = (pb + m * qb) * (pc + m * qc) * n * kd
-        term = term * num // den
-        carried = abs(carried * num // den) + 2
-        total += term
-        err += carried
-    if tail:
-        err += abs(term) + carried
-    value = total / (1 << prec)
-    # the factor covers the three roundings of this line
-    bound = (err / (1 << prec) + 0.5 * math.ulp(value)) * (1.0 + 2.0 ** -50)
-    return value, bound
+    """`backend.hyp1f2_fixed_point` capped at _F2_HP_TERMS terms:
+    (value, abs_bound), or (nan, inf) past the cap."""
+    a, b, c, x = (v.as_integer_ratio() for v in (a, b, c, x))
+    return backend.hyp1f2_fixed_point(a, b, c, x, (1, 1), digits, _F2_HP_TERMS)
 
 
 def hyp1f2_with_bound(a: float, b: float, c: float, x: float,

@@ -19,6 +19,13 @@ def series_bessel_j(alpha, z, dps=50, terms=300):
         return float(tot)
 
 
+def mp_bessel_j(alpha, z, dps=40):
+    """mpmath's besselj at `dps` digits, for z past the reach of the fixed
+    600 terms of `series_bessel_j`."""
+    with mp.workdps(dps):
+        return float(mp.besselj(alpha, z))
+
+
 def series_bessel_i(alpha, z, dps=50, terms=400):
     with mp.workdps(dps):
         a = mp.mpf(alpha)

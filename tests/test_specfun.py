@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from besselprob import _kernels_py
@@ -145,13 +145,19 @@ def _bits(values) -> list:
     return [float(v).hex() for v in values]
 
 
+def _past_series_bound(alpha: float, z: float) -> bool:
+    """Whether `bessel_j`'s series bound exceeds `_SERIES_BOUND_MAX`, so
+    that it takes the fixed-point sum below j_crossover."""
+    return _kernels_py._bessel_j_series_bound(alpha, z)[1] > _kernels_py._SERIES_BOUND_MAX
+
+
 @st.composite
 def _order_and_arguments(draw):
     """An order and a list of z >= 0 that straddles each route switch of
     `bessel_j` at that order: the half-integer closed forms (k = -1..6, safe
     from z = 2k + 2 for k >= 1), the Hankel expansion from `j_crossover`
     (14, or alpha^2/4 + 2 above alpha = 6.93), and for alpha >= 8 the
-    series bound's hand-over to the 50-digit series."""
+    series bound's hand-over to the fixed-point sum."""
     alpha = draw(st.one_of(
         st.integers(-1, 6).map(lambda k: k + 0.5),
         st.floats(-0.99, -0.01),
@@ -163,16 +169,7 @@ def _order_and_arguments(draw):
     if alpha - k == 0.5 and k >= 1:
         switches.append(2.0 * k + 2.0)
     if alpha >= 8.0:
-        # the 50-digit hand-over: bisect for the z where the series bound
-        # first exceeds it
-        lo, hi = 1.0, 0.95 * cross
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _kernels_py._bessel_j_series_bound(alpha, mid)[1] > 2e-11:
-                hi = mid
-            else:
-                lo = mid
-        switches += [hi, 0.95 * cross]
+        switches += [_fixed_point_handover(alpha), 0.95 * cross]
     z = draw(st.lists(st.floats(1e-3, 1.5 * cross), min_size=1, max_size=16))
     for edge in switches:
         eps = draw(st.floats(1e-12, 0.05))
@@ -197,13 +194,15 @@ class TestBesselJArray:
 
     @settings(max_examples=60, deadline=None)
     @given(_order_and_arguments())
+    # at alpha = 180.3 the series prefactor overflows from z ~ 6932 on
+    @example(case=(180.3, [8000.0, 7600.0, 1000.0, 120.0, 8200.0, 0.0]))
     def test_equals_scalar_bit_for_bit(self, case):
         alpha, z = case
         want = [_kernels_py.bessel_j(alpha, v) for v in z]
         assert _bits(backend.bessel_j_array(alpha, z)) == _bits(want)
         if alpha >= 8.0:
-            # the 50-digit route really ran for some element
-            assert any(_kernels_py._bessel_j_series_bound(alpha, v)[1] > 2e-11
+            # the fixed-point route really ran for some element
+            assert any(_past_series_bound(alpha, v)
                        for v in z if 0.0 < v < _kernels_py.j_crossover(alpha))
 
     def test_shape_preserved(self):
@@ -265,6 +264,50 @@ def test_bessel_j_large_order_window():
                   0.3 * alpha * alpha, alpha * alpha):
             want = oracles.series_bessel_j(alpha, z, dps=80, terms=600)
             assert specfun.bessel_j(alpha, z) == pytest.approx(want, abs=2e-11)
+
+
+def _fixed_point_handover(alpha: float) -> float:
+    """The z where the series bound first exceeds `_SERIES_BOUND_MAX`
+    (bisected below 0.95 j_crossover); `bessel_j` takes the fixed-point
+    sum past it."""
+    lo, hi = 1.0, 0.95 * _kernels_py.j_crossover(alpha)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _past_series_bound(alpha, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@st.composite
+def _fallback_point(draw):
+    """An order in [7.5, 60] and a z below j_crossover whose series bound
+    exceeds `_SERIES_BOUND_MAX`, so `bessel_j` takes the fixed-point sum."""
+    alpha = draw(st.floats(7.5, 60.0))
+    lo, hi = _fixed_point_handover(alpha), _kernels_py.j_crossover(alpha)
+    z = lo + draw(st.floats(0.0, 1.0, exclude_max=True)) * (hi - lo)
+    assume(z < hi and _past_series_bound(alpha, z))
+    return alpha, z
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fallback_point())
+@example((150.3, 3000.0))
+@example((175.0, 7600.0))   # the series prefactor overflows here
+def test_bessel_j_fixed_point_window(point):
+    alpha, z = point
+    want = oracles.mp_bessel_j(alpha, z)
+    assert abs(backend.bessel_j(alpha, z) - want) <= 1e-15 * abs(want)
+
+
+def test_bessel_j_prefactor_past_double_range():
+    # from alpha = 175 the series prefactor (z/2)^alpha / Gamma(alpha+1)
+    # overflows just below j_crossover; the fixed-point sum takes the point
+    assert _kernels_py._bessel_j_series_bound(180.3, 8000.0)[1] == math.inf
+    got = backend.bessel_j(180.3, 8000.0)
+    assert got == pytest.approx(oracles.mp_bessel_j(180.3, 8000.0), rel=1e-15)  # -0.00581209...
+    assert _bits(backend.bessel_j_array(180.3, [8000.0])) == _bits([got])
 
 
 def test_bessel_i_vs_series_oracle():
