@@ -4,15 +4,12 @@ hitting times, and existence analysis for Mellin transforms of Gamma type.
 """
 
 from .backend import BACKEND_NAME
-from .policy import PrecisionPolicy, DEFAULT_POLICY
 from .errors import AccuracyError, BracketError, DivergenceError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND_NAME",
-    "PrecisionPolicy",
-    "DEFAULT_POLICY",
     "AccuracyError",
     "BracketError",
     "DivergenceError",

@@ -325,7 +325,7 @@ def _bessel_j_fixed_point(alpha: float, z: float) -> float:
     (pa, qa), (pf, qf), (pz, qz) = (v.as_integer_ratio() for v in (alpha, f, z))
     fold = ((pz * qf) ** n, (2 * qz) ** n * math.prod(pf + k * qf for k in range(1, n + 1)))
     val, _ = hyp1f2_fixed_point((1, 1), (1, 1), (pa + qa, qa), (-pz * pz, 4 * qz * qz), fold,
-                                50, sys.maxsize)
+                                sys.maxsize)
     return val * (0.5 * z) ** f / math.gamma(f + 1.0)
 
 
@@ -491,27 +491,32 @@ def hyp1f2_series(a: float, b: float, c: float, x: float) -> tuple[float, float,
     return total, err, n
 
 
-def hyp1f2_fixed_point(a: tuple, b: tuple, c: tuple, x: tuple, scale: tuple, digits: int,
+def hyp1f2_fixed_point(a: tuple, b: tuple, c: tuple, x: tuple, scale: tuple,
                        max_terms: int) -> tuple[float, float]:
     """scale * 1F2(a; b, c; x) summed exactly in binary fixed point; each
-    argument but digits and max_terms is an exact rational as an int pair
+    argument but max_terms is an exact rational as an int pair
     (numerator, positive denominator).  Returns (value, abs_bound), the
     value correctly rounded, or (nan, inf) where the sum needs max_terms
     terms or more (sys.maxsize: no cap).  Term n is T_n = floor(T_{n-1}
     num_n / den_n) in units of 2^-P, from T_0 = floor(scale 2^P), with
-    P = floor(log2 peak term, at least 0) + digits log2(10) + 16.  The
-    bound adds the carried floors (`carried`: + 1 for each new floor, + 1
-    for flooring the carry), the tail past the last term N, after which
-    every ratio is at most 1/2, and half an ulp of the returned double."""
+    P = floor(R) + 50 log2(10) + 16, R the largest rise of the exact terms:
+    log2 |t_n| less the least of 0 and log2 |t_k|, k <= n (log2 of the
+    peak term unless a term below 1 precedes it).  A floor at term k
+    reaches term n times |t_n / t_k| <= 2^R, so the error is about
+    N 2^-182.  The bound adds the carried floors (`carried`: + 1 for each
+    new floor, + 1 for flooring the carry), the tail past the last term N,
+    after which every ratio is at most 1/2, and half an ulp of the
+    returned double."""
     (pa, qa), (pb, qb), (pc, qc), (px, qx), (sn, sd) = a, b, c, x, scale
     fa, fb, fc, fx = pa / qa, pb / qb, pc / qc, px / qx
     ax = abs(fx)
     big, small = max(fb, fc), min(fb, fc)
     lowest = min(fa, small)
-    guard = math.ceil(digits * math.log2(10.0)) + 16
+    guard = math.ceil(50 * math.log2(10.0)) + 16
     log2 = math.log2
     log_t = log2(abs(sn)) - log2(sd)
-    peak = max(0.0, log_t)
+    low = min(0.0, log_t)           # lowest log2 |term| so far, or 0
+    rise = log_t - low
     tail = True
     for n in range(1, max_terms):
         m = n - 1
@@ -519,19 +524,21 @@ def hyp1f2_fixed_point(a: tuple, b: tuple, c: tuple, x: tuple, scale: tuple, dig
             last, tail = m, False
             break
         log_t += log2(abs((fa + m) * fx / (fb + m) / (fc + m) / n))
-        if log_t > peak:
-            peak = log_t
+        if log_t < low:
+            low = log_t
+        if log_t - low > rise:
+            rise = log_t - low
         # for k >= n with a + k, b + k, c + k > 0 the ratio of term k + 1
         # to term k is at most rho: (a + k) / (big + k) and
         # 1 / ((small + k) (k + 1)) do not grow with k
-        elif log_t + peak + guard < 0.0 and lowest + n > 0.0:
+        elif log_t + rise + guard < 0.0 and lowest + n > 0.0:
             rho = ax * max(1.0, (fa + n) / (big + n)) / ((small + n) * (n + 1))
             if rho <= 0.5 * (1.0 - 1e-12):
                 last = n
                 break
     else:
         return math.nan, math.inf
-    prec = math.floor(peak) + guard
+    prec = math.floor(rise) + guard
     kn, kd = px * qb * qc, qa * qx
     g = math.gcd(kn, kd)
     kn, kd = kn // g, kd // g

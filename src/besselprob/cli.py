@@ -24,7 +24,6 @@ import numpy as np
 
 from . import __version__, gammatype, quad, specfun, vandantzig
 from .errors import AccuracyError, DivergenceError
-from .policy import DEFAULT_POLICY, PrecisionPolicy
 
 EXIT_PASS = 0
 EXIT_TOL = 1
@@ -43,11 +42,6 @@ def _parse_number(text: str) -> float:
 
 def _parse_list(text: str):
     return [_parse_number(v) for v in text.split(",") if v.strip()]
-
-
-def _policy_from(args) -> PrecisionPolicy:
-    digits = getattr(args, "highprec_digits", None) or DEFAULT_POLICY.highprec_digits
-    return PrecisionPolicy(highprec_digits=digits)
 
 
 def _emit(args, text: str, manifest: dict) -> None:
@@ -69,11 +63,7 @@ def _manifest(args, started: float) -> dict:
     return {
         "command": " ".join(sys.argv),
         "seed": getattr(args, "seed", None),
-        "precision": {
-            "tol": getattr(args, "tol", None),
-            "highprec_digits": getattr(args, "highprec_digits", None)
-            or DEFAULT_POLICY.highprec_digits,
-        },
+        "precision": {"tol": getattr(args, "tol", None)},
         "versions": {
             "package": __version__,
             "python": platform.python_version(),
@@ -242,15 +232,14 @@ def cmd_gammatype_exists(args) -> int:
     try:
         if args.spec_json or args.spec_file:
             spec = _load_spec(args)
-            verdict = gammatype.exists_spec(spec, policy=_policy_from(args))
+            verdict = gammatype.exists_spec(spec)
             payload = verdict.to_dict()
             if spec.has_atom_at_one:
                 payload["atom_at_one"] = gammatype.atom_at_one(spec)
         elif None not in (args.a, args.b, args.c, args.d):
             verdict = gammatype.exists_D(
                 _parse_number(args.a), _parse_number(args.b),
-                _parse_number(args.c), _parse_number(args.d),
-                policy=_policy_from(args))
+                _parse_number(args.c), _parse_number(args.d))
             payload = verdict.to_dict()
         else:
             sys.stderr.write("give either a spec or all of -a -b -c -d\n")
@@ -274,8 +263,7 @@ def cmd_gammatype_boundary(args) -> int:
         return EXIT_USAGE
 
     def row(u):
-        s = gammatype.boundary_f_ab(a, b, float(u), resolution=args.resolution,
-                                    policy=_policy_from(args))
+        s = gammatype.boundary_f_ab(a, b, float(u), resolution=args.resolution)
         return f"{s.u:.12g},{s.f_value:.12g},{s.bracket_width:.12g},{s.method}\n"
 
     text = "u,f_value,bracket_width,method\n" + "".join(row(u) for u in us)
@@ -359,11 +347,13 @@ def cmd_sample_ratio_product(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # every command takes --out; --tol and --seed only where they are read
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9)
-    common.add_argument("--highprec-digits", type=int, default=None)
-    common.add_argument("--seed", type=int, default=20260808)
     common.add_argument("--out", type=str, default=None)
+    tol = argparse.ArgumentParser(add_help=False, parents=[common])
+    tol.add_argument("--tol", type=float, default=1e-9)
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=20260808)
 
     p = argparse.ArgumentParser(prog="besselprob",
                                 description="Bessel-function probability toolkit")
@@ -371,11 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="identity verification suites")
     vsub = verify.add_subparsers(dest="subcommand", required=True)
-    lommel = vsub.add_parser("lommel", parents=[common])
+    lommel = vsub.add_parser("lommel", parents=[tol])
     lommel.add_argument("--alpha-list", default="-0.4,0,0.5,1,2.5")
     lommel.add_argument("--t-list", default="0.5,1,5,10,20")
     lommel.set_defaults(func=cmd_verify_lommel)
-    ws = vsub.add_parser("ws", parents=[common])
+    ws = vsub.add_parser("ws", parents=[tol])
     ws.add_argument("--alpha-list", default="0,0.5,1,2")
     ws.add_argument("--s-fractions", default="0.2,0.5,0.8")
     ws.set_defaults(func=cmd_verify_ws, tol=1e-6)
@@ -386,12 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     vd = sub.add_parser("vandantzig", help="characteristic-function pair checks")
     vdsub = vd.add_subparsers(dest="subcommand", required=True)
-    pair = vdsub.add_parser("pair", parents=[common])
+    pair = vdsub.add_parser("pair", parents=[seeded])
     pair.add_argument("--alpha", type=float, required=True)
     pair.add_argument("--grid-max", type=float, default=30.0)
     pair.add_argument("--mc", type=int, default=100_000)
     pair.set_defaults(func=cmd_vandantzig_pair)
-    samp = vdsub.add_parser("sample", parents=[common])
+    samp = vdsub.add_parser("sample", parents=[seeded])
     samp.add_argument("--alpha", type=float, required=True)
     samp.add_argument("--count", type=int, default=10_000)
     samp.add_argument("--kind", choices=("T", "Y"), default="T")
@@ -439,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     smp = sub.add_parser("sample", help="random variate generation")
     ssub = smp.add_subparsers(dest="subcommand", required=True)
-    rp = ssub.add_parser("ratio-product", parents=[common])
+    rp = ssub.add_parser("ratio-product", parents=[seeded])
     rp.add_argument("--spec-json", default=None)
     rp.add_argument("--spec-file", default=None)
     rp.add_argument("--count", type=int, default=10_000)

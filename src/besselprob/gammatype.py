@@ -8,7 +8,6 @@ integral) used to close the squared-Bessel Mellin formula.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -19,9 +18,10 @@ import numpy as np
 
 from . import quad, rng
 from .errors import AccuracyError
-from .policy import DEFAULT_POLICY, PrecisionPolicy
 from .specfun import (
     _F2_ASYM_MIN_X,
+    _TARGET_ABS,
+    _TARGET_REL,
     _f2_alg_series,
     _f2_asymptotic,
     _f2_osc_coeffs,
@@ -454,8 +454,7 @@ def _is_square_structure(A: float, B: float, C: float) -> bool:
     return False
 
 
-def f2_nonneg_scan(A: float, B: float, C: float,
-                   policy: PrecisionPolicy = DEFAULT_POLICY) -> ScanOutcome:
+def f2_nonneg_scan(A: float, B: float, C: float) -> ScanOutcome:
     """Decide the sign pattern of x -> 1F2(A; B, C; -x) on [0, inf).
 
     March in y = sqrt(x) (16 points per oscillation period), verify any
@@ -468,10 +467,10 @@ def f2_nonneg_scan(A: float, B: float, C: float,
     Below x = 160 (specfun._F2_ASYM_MIN_X) every point is one
     hyp1f2_with_bound call.  Past it the large-x expansion is evaluated on
     array chunks of 1024 grid points; only points whose bound misses the
-    policy target are redone one at a time.  Chunk values and bounds are
-    hyp1f2_with_bound's bit for bit: both come from the one array form of
-    specfun._f2_asymptotic, whose bound includes the rounding of the phase
-    2 sqrt(x) + nu pi/2 (4 * 2^-53 of it, times the oscillatory part).
+    1F2 accuracy target are redone one at a time.  Chunk values and bounds
+    are hyp1f2_with_bound's bit for bit: both come from the one array form
+    of specfun._f2_asymptotic, whose bound includes the rounding of the
+    phase 2 sqrt(x) + nu pi/2 (4 * 2^-53 of it, times the oscillatory part).
     """
     if not (A > 0.0 and B > 0.0 and C > 0.0):
         raise ValueError("need positive parameters")
@@ -499,7 +498,7 @@ def f2_nonneg_scan(A: float, B: float, C: float,
         while y <= y_end and (len(xs) < _SCAN_CHUNK if large else y * y < _F2_ASYM_MIN_X):
             xs.append(y * y)
             y += dy
-        vs, bnds = _scan_values(A, B, C, xs, large, policy)
+        vs, bnds = _scan_values(A, B, C, xs, large)
         hit = vs[-1] < -8.0 * bnds[-1]
         before = vs[:-1] if hit else vs
         neg = before[before < 0.0]
@@ -509,7 +508,7 @@ def f2_nonneg_scan(A: float, B: float, C: float,
             prev_x, prev_v = xs[before.size - 1], float(before[-1])
         if hit:
             v, bnd = float(vs[-1]), float(bnds[-1])
-            witness = _refine_witness(A, B, C, prev_x, prev_v, xs[before.size], v, policy)
+            witness = _refine_witness(A, B, C, prev_x, prev_v, xs[before.size], v)
             return ScanOutcome(kind="Negative", witness=witness,
                                detail=f"verified value {v:.6g} (bound {bnd:.3g})")
 
@@ -549,32 +548,32 @@ def _tail_horizon(A, B, C, prof) -> Optional[float]:
     return float(xs[dominated.argmax()]) if dominated.any() else None
 
 
-def _scan_values(A, B, C, xs, large, policy):
+def _scan_values(A, B, C, xs, large):
     """(values, bounds) of 1F2(A; B, C; -x) at the scan points `xs`, as
     arrays that end at the first verified negative (v < -8 bound).
 
     A `large` chunk (every x >= _F2_ASYM_MIN_X) takes the large-x expansion
-    on the whole array; points whose bound misses the policy target are
-    redone by hyp1f2_with_bound, in order.  Other chunks, and a large one
-    whose array expansion overflows, march one hyp1f2_with_bound call per
-    point."""
+    on the whole array; points whose bound misses the 1F2 accuracy target
+    are redone by hyp1f2_with_bound, in order.  Other chunks, and a large
+    one whose array expansion overflows, march one hyp1f2_with_bound call
+    per point."""
     if large:
         try:
             vs, bnds = _f2_asymptotic(A, B, C, np.array(xs))
         except OverflowError:
             pass
         else:
-            need = np.maximum(policy.target_abs_tol, policy.target_rel_tol * np.abs(vs))
+            need = np.maximum(_TARGET_ABS, _TARGET_REL * np.abs(vs))
             miss = bnds > need
             for i in np.flatnonzero(miss | (vs < -8.0 * bnds)):
                 if miss[i]:
-                    vs[i], bnds[i] = hyp1f2_with_bound(A, B, C, -xs[i], policy)
+                    vs[i], bnds[i] = hyp1f2_with_bound(A, B, C, -xs[i])
                 if vs[i] < -8.0 * bnds[i]:
                     return vs[:i + 1], bnds[:i + 1]
             return vs, bnds
     vs, bnds = [], []
     for x in xs:
-        v, bnd = hyp1f2_with_bound(A, B, C, -x, policy)
+        v, bnd = hyp1f2_with_bound(A, B, C, -x)
         vs.append(v)
         bnds.append(bnd)
         if v < -8.0 * bnd:
@@ -582,7 +581,7 @@ def _scan_values(A, B, C, xs, large, policy):
     return np.array(vs), np.array(bnds)
 
 
-def _refine_witness(A, B, C, x_lo, v_lo, x_hi, v_hi, policy) -> float:
+def _refine_witness(A, B, C, x_lo, v_lo, x_hi, v_hi) -> float:
     """Bisect the bracketing sign change, then return the verified negative
     point just past it (the scanned hit when no crossing brackets)."""
     if not (v_lo > 0.0 > v_hi):
@@ -590,7 +589,7 @@ def _refine_witness(A, B, C, x_lo, v_lo, x_hi, v_hi, policy) -> float:
     lo, hi = x_lo, x_hi
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        v, bnd = hyp1f2_with_bound(A, B, C, -mid, policy)
+        v, bnd = hyp1f2_with_bound(A, B, C, -mid)
         if v < -8.0 * bnd:
             hi = mid
         elif v > 0.0:
@@ -606,8 +605,7 @@ def _refine_witness(A, B, C, x_lo, v_lo, x_hi, v_hi, policy) -> float:
 # Existence oracle for the quartet family
 
 
-def exists_D(a: float, b: float, c: float, d: float,
-             policy: PrecisionPolicy = DEFAULT_POLICY) -> ExistenceVerdict:
+def exists_D(a: float, b: float, c: float, d: float) -> ExistenceVerdict:
     """Existence of the law with moments (a)_s (b)_{-s} / ((c)_s (d)_s).
 
     Closed-form sum/min rules decide almost everywhere; the gap band
@@ -624,7 +622,7 @@ def exists_D(a: float, b: float, c: float, d: float,
         return ExistenceVerdict("NotExists", "sum-below-threshold", witness=c + d)
     if mn >= min(2.0 * a + b, a + 0.5) - 1e-12:
         return ExistenceVerdict("Exists", "sum-threshold-rule")
-    out = f2_nonneg_scan(a + b, c + b, d + b, policy=policy)
+    out = f2_nonneg_scan(a + b, c + b, d + b)
     if out.kind == "Negative":
         return ExistenceVerdict("NotExists", "scan-negative", witness=out.witness)
     if out.kind == "Nonnegative":
@@ -633,8 +631,7 @@ def exists_D(a: float, b: float, c: float, d: float,
     return ExistenceVerdict("Indeterminate", "scan-indeterminate")
 
 
-def exists_spec(spec: GammaRatioSpec,
-                policy: PrecisionPolicy = DEFAULT_POLICY) -> ExistenceVerdict:
+def exists_spec(spec: GammaRatioSpec) -> ExistenceVerdict:
     """Existence dispatcher for general four-set symbols, by shape.
 
     Covers: empty and pure-product shapes, the Beta-Gamma sufficient
@@ -660,7 +657,7 @@ def exists_spec(spec: GammaRatioSpec,
             return ExistenceVerdict("Exists", "schur-holds")
         return ExistenceVerdict("Indeterminate", "schur-fails", witness=witness)
     if n == 1 and m == 1 and p == 2 and q == 0:
-        return exists_D(spec.a[0], spec.b[0], spec.c[0], spec.c[1], policy=policy)
+        return exists_D(spec.a[0], spec.b[0], spec.c[0], spec.c[1])
     if p <= 1 and q <= 1:
         return ExistenceVerdict("Exists", "beta-gamma-ratio")
     return ExistenceVerdict("Indeterminate", "unclassified-shape")
@@ -682,14 +679,14 @@ class BoundarySample:
             raise ValueError(f"bad method {self.method!r}")
 
 
-def boundary_f_ab(a: float, b: float, u: float, resolution: float = 1e-3,
-                  policy: PrecisionPolicy = DEFAULT_POLICY) -> BoundarySample:
+def boundary_f_ab(a: float, b: float, u: float, resolution: float = 1e-3) -> BoundarySample:
     """Smallest c such that the pair (c, u) admits a distribution.
 
     On the initial segment (u up to max(2a+b, a+1/2)) the boundary is the
     exact line 3a+b+1/2-u; beyond it the value is bracketed by bisection
     on the existence oracle, using monotonicity of existence in c, to a
-    bracket no wider than `resolution`.  Raises ValueError unless u is
+    bracket no wider than `resolution`; an Indeterminate verdict ends the
+    bisection at the bracket reached.  Raises ValueError unless u is
     finite and resolution is finite and > 0."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError("need a, b > 0")
@@ -704,15 +701,9 @@ def boundary_f_ab(a: float, b: float, u: float, resolution: float = 1e-3,
         return BoundarySample(u=u, f_value=3.0 * a + b + 0.5 - u,
                               bracket_width=0.0, method="LinearSegment")
     lo, hi = a, u
-    escalated = False
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        verdict = exists_D(a, b, mid, u, policy=policy)
-        if verdict.state == "Indeterminate" and not escalated:
-            escalated = True
-            policy = dataclasses.replace(
-                policy, highprec_digits=max(80, policy.highprec_digits))
-            verdict = exists_D(a, b, mid, u, policy=policy)
+        verdict = exists_D(a, b, mid, u)
         if verdict.state == "Indeterminate":
             break
         if verdict.state == "Exists":
@@ -833,9 +824,12 @@ def density_via_inversion(spec: GammaRatioSpec, x: float,
 
     A point mass at one (bounded-support equal-sum case) is subtracted
     from the symbol before inverting, since a constant symbol has no
-    pointwise-convergent inverse."""
+    pointwise-convergent inverse.  `truncation` caps the tau horizon
+    (default 2400); raises ValueError unless it is finite and > 0."""
     if not x > 0.0:
         raise ValueError("need x > 0")
+    if truncation is not None and not (math.isfinite(truncation) and truncation > 0.0):
+        raise ValueError(f"truncation must be finite and > 0, got {truncation!r}")
     n, m, p, q = spec.sizes
     lo = max([-v for v in spec.a] + [-v for v in spec.c] or [-math.inf])
     hi = min(list(spec.b) + list(spec.d) or [math.inf])

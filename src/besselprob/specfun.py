@@ -17,7 +17,6 @@ import numpy as np
 from . import backend
 from ._kernels_py import _LANCZOS_C, _LANCZOS_G
 from .errors import AccuracyError, BracketError
-from .policy import DEFAULT_POLICY, PrecisionPolicy
 
 __all__ = [
     "BesselOrder",
@@ -491,32 +490,36 @@ def _f2_asymptotic(a: float, b: float, c: float, x):
 # the large-x expansion takes over from the fixed-point series here
 _F2_ASYM_MIN_X = 160.0
 
-# term cap of the fixed-point series: at 50 digits x = -1.45e6 takes about
-# 4,400 terms, and past x ~ -2.7e6 it would need more
+# accuracy target of hyp1f2: a bound of at most max(_TARGET_ABS, _TARGET_REL |value|)
+_TARGET_ABS = 1e-11
+_TARGET_REL = 1e-12
+
+# term cap of the fixed-point series: x = -1.45e6 takes about 4,400 terms,
+# and past x ~ -2.7e6 it would need more
 _F2_HP_TERMS = 6000
 
 
-def _f2_highprec_series(a: float, b: float, c: float, x: float, digits: int):
+def _f2_highprec_series(a: float, b: float, c: float, x: float):
     """`backend.hyp1f2_fixed_point` capped at _F2_HP_TERMS terms:
     (value, abs_bound), or (nan, inf) past the cap."""
     a, b, c, x = (v.as_integer_ratio() for v in (a, b, c, x))
-    return backend.hyp1f2_fixed_point(a, b, c, x, (1, 1), digits, _F2_HP_TERMS)
+    return backend.hyp1f2_fixed_point(a, b, c, x, (1, 1), _F2_HP_TERMS)
 
 
-def hyp1f2_with_bound(a: float, b: float, c: float, x: float,
-                      policy: PrecisionPolicy = DEFAULT_POLICY):
+def hyp1f2_with_bound(a: float, b: float, c: float, x: float):
     """1F2(a; b, c; x) with an absolute error bound.
 
     Route: direct double series while its cancellation bound meets the
-    policy target; the large-x expansion for x <= -_F2_ASYM_MIN_X when its
-    bound meets the target; otherwise the exact fixed-point series at
-    policy.highprec_digits, or the expansion where its bound is smaller.
-    The expansion's Gamma prefactor needs a, b, c > 0, so any other
-    parameters go to the fixed-point series at every large x, as do points
-    where the expansion leaves the double range (`_f2_asymptotic` raises
-    OverflowError).  Past x ~ -2.7e6 the fixed-point series declines
-    (nan, inf bound), so where the expansion misses the target there, or
-    does not apply, the bound misses it too and `hyp1f2` raises
+    target (_TARGET_ABS, _TARGET_REL); the large-x expansion for
+    x <= -_F2_ASYM_MIN_X when its bound meets the target; otherwise the
+    exact fixed-point series, whose bound is half an ulp of its correctly
+    rounded value plus about 1e-50, or the expansion where its bound is
+    smaller.  The expansion's Gamma prefactor needs a, b, c > 0, so any
+    other parameters go to the fixed-point series at every large x, as do
+    points where the expansion leaves the double range (`_f2_asymptotic`
+    raises OverflowError).  Past x ~ -2.7e6 the fixed-point series
+    declines (nan, inf bound), so where the expansion misses the target
+    there, or does not apply, the bound misses it too and `hyp1f2` raises
     AccuracyError.
     """
     _f2_pole_check(b, c)
@@ -526,8 +529,7 @@ def hyp1f2_with_bound(a: float, b: float, c: float, x: float,
     # even attempt it (the sum would still run its full length)
     if x > -110.0:
         val, bound, _ = backend.hyp1f2_series(a, b, c, x)
-        need = max(policy.target_abs_tol, policy.target_rel_tol * abs(val))
-        if x > 0.0 or bound <= need:
+        if x > 0.0 or bound <= max(_TARGET_ABS, _TARGET_REL * abs(val)):
             return val, bound
     ax = -x
     abound = math.inf
@@ -536,19 +538,18 @@ def hyp1f2_with_bound(a: float, b: float, c: float, x: float,
             aval, abound = _f2_asymptotic(a, b, c, ax)
         except OverflowError:   # the expansion leaves the double range
             aval, abound = math.nan, math.inf
-        if abound <= max(policy.target_abs_tol, policy.target_rel_tol * abs(aval)):
+        if abound <= max(_TARGET_ABS, _TARGET_REL * abs(aval)):
             return aval, abound
-    hval, hbound = _f2_highprec_series(a, b, c, x, policy.highprec_digits)
+    hval, hbound = _f2_highprec_series(a, b, c, x)
     if abound < hbound:
         return aval, abound
     return hval, hbound
 
 
-def hyp1f2(a: float, b: float, c: float, x: float,
-           policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
-    """1F2(a; b, c; x); raises AccuracyError when the policy target is
+def hyp1f2(a: float, b: float, c: float, x: float) -> float:
+    """1F2(a; b, c; x); raises AccuracyError when the target is
     unachievable (the error object carries the achieved bound)."""
-    val, bound = hyp1f2_with_bound(a, b, c, x, policy)
-    if bound > max(policy.target_abs_tol, policy.target_rel_tol * abs(val)):
+    val, bound = hyp1f2_with_bound(a, b, c, x)
+    if bound > max(_TARGET_ABS, _TARGET_REL * abs(val)):
         raise AccuracyError("1F2 tolerance unachievable", val, bound)
     return val

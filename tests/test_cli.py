@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -178,12 +180,21 @@ class TestGammatypeCommands:
         assert run(["gammatype", *command, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
-    # boundary_f_ab's escalation precision as the base one: the same bytes
-    def test_boundary_output_pinned_at_80_digits(self, tmp_path):
-        command, sha256 = self.PINNED_OUTPUTS[0]
-        out = tmp_path / "out"
-        assert run(["gammatype", *command, "--highprec-digits", "80", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+    def test_removed_precision_flag_is_usage_error(self, tmp_path):
+        command, _ = self.PINNED_OUTPUTS[0]
+        with pytest.raises(SystemExit) as exc:
+            run(["gammatype", *command, "--highprec-digits", "80",
+                 "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("truncation", ["-5", "0", "nan", "inf"])
+    def test_density_bad_truncation_is_usage_error(self, truncation, tmp_path):
+        # -5 used to print the density of Gamma_2 / Gamma_3 at 0.7 with its
+        # sign flipped, and 0 printed 0.0
+        code = run(["gammatype", "density", "--spec-json", '{"a":[2],"b":[3]}',
+                    "--x-list", "0.7", "--truncation", truncation,
+                    "--out", str(tmp_path / "d.json")])
+        assert code == 2
 
     def test_density(self, tmp_path):
         out = tmp_path / "d.json"
@@ -236,3 +247,21 @@ def test_manifest_contents(tmp_path):
             "output_sha256"} <= set(manifest)
     import hashlib
     assert manifest["output_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+# every command line of the README, with its documented exit code: 0, or 3
+# (not-exists) for the bounded-support counterexample
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_COMMANDS = [shlex.split(line)[1:] for line in README.read_text().splitlines()
+                   if line.startswith("besselprob ")]
+COUNTEREXAMPLE = '{"a":["2","16/5","17/5"],"c":["11/5","12/5","4"]}'
+
+
+def test_readme_has_commands():
+    assert len(README_COMMANDS) >= 12
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[" ".join(a[:2]) for a in README_COMMANDS])
+def test_readme_command_runs(argv, tmp_path):
+    expected = 3 if COUNTEREXAMPLE in argv else 0
+    assert run(argv + ["--out", str(tmp_path / "out")]) == expected

@@ -466,6 +466,16 @@ class TestInversion:
         with pytest.raises(ValueError):
             gt.density_via_inversion(sp, 1.0, line_sigma=-2.0)
 
+    # a negative cap flipped the sign of the density (-0.5916 for +0.5916
+    # at 0.7) and 0 gave 0.0; nan was ignored
+    @pytest.mark.parametrize("truncation", [-5.0, 0.0, math.nan, math.inf])
+    def test_truncation_validation(self, truncation):
+        sp = gt.GammaRatioSpec(a=(2.0,), b=(3.0,))
+        with pytest.raises(ValueError, match="truncation"):
+            gt.density_via_inversion(sp, 0.7, truncation=truncation)
+        assert gt.density_via_inversion(sp, 0.7, truncation=3000.0) \
+            == pytest.approx(12.0 * 0.7 / 1.7 ** 5, abs=1e-10)
+
 
 class TestSelberg:
     @pytest.mark.parametrize("alpha,s", [(0.5, 0.75), (1.0, 1.2), (2.0, 2.2)])

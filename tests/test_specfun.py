@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from besselprob import _kernels_py
 from besselprob import backend, specfun
 from besselprob.errors import AccuracyError
-from besselprob.policy import PrecisionPolicy
 
 import oracles
 
@@ -74,13 +73,12 @@ class TestKernels:
         # the two J evaluation paths must agree around the crossover (for
         # orders small enough that the raw series still has digits there;
         # beyond that the dispatch swaps in the verified fallback)
-        policy = PrecisionPolicy()
         for alpha in (-0.4, 0.0, 0.9, 1.7, 2.3, 3.2, 4.0):
             cross = kern.j_crossover(alpha)
             for z in (cross * 0.9, cross, cross * 1.1):
                 s = kern.bessel_j_series(alpha, z)
                 a = kern.bessel_j_asymptotic(alpha, z)
-                assert abs(s - a) <= 10.0 * policy.target_abs_tol
+                assert abs(s - a) <= 10.0 * specfun._TARGET_ABS
 
 
 def _normal_quantile_mp(u: float):
@@ -459,50 +457,52 @@ class TestHyp1F2:
             assert lhs == pytest.approx(rhs, abs=5e-11)
 
     # x straddles both route switches (the double series stops at |x| = 110,
-    # the large-x expansion starts at 160); 80 digits is the precision
-    # boundary_f_ab escalates to
-    @pytest.mark.parametrize("x, digits", [
-        pytest.param(x, 50, id=str(x))
-        for x in (-30.0, -109.9, -110.1, -130.0, -159.9, -160.1, -400.0, -2500.0)
-    ] + [pytest.param(-130.0, 80, id="-130.0-hp80")])
-    def test_cancellation_and_asymptotic_paths(self, x, digits):
-        policy = PrecisionPolicy(highprec_digits=digits)
+    # the large-x expansion starts at 160)
+    @pytest.mark.parametrize("x", [-30.0, -109.9, -110.1, -130.0, -159.9, -160.1, -400.0,
+                                   -2500.0], ids=str)
+    def test_cancellation_and_asymptotic_paths(self, x):
         for (a, b, c) in ((1.5, 3.0, 2.0), (0.8, 1.2, 2.6), (2.5, 5.5, 3.0)):
-            v, bound = specfun.hyp1f2_with_bound(a, b, c, x, policy)
+            v, bound = specfun.hyp1f2_with_bound(a, b, c, x)
             want = oracles.series_hyp1f2(a, b, c, x)
             assert abs(v - want) <= max(bound, 1e-15 * abs(want))
 
-    # (a, b, c, x, highprec_digits) -> exact (value, bound) bits; any change
-    # to the order or precision of the arithmetic on these routes shows here
+    # (a, b, c, x) -> exact (value, bound) bits; any change to the order or
+    # precision of the arithmetic on these routes shows here
     FROZEN_BITS = [
-        # 50-digit series
-        ((1.3, 2.0, 2.4, -130.0, 50), "0x1.a18cd0538aa34p-9", "0x1.0000000000004p-62"),
-        ((0.8, 1.2, 2.6, -109.9, 50), "0x1.d9eeabfc3da5fp-7", "0x1.0000000000004p-60"),
-        ((0.5, 3.0, 8.0, -200.0, 50), "0x1.1e55692452919p-2", "0x1.0000000000004p-55"),
-        # 80-digit series
-        ((1.5, 3.0, 2.0, -130.0, 80), "0x1.8f951e8994f00p-10", "0x1.0000000000004p-63"),
+        # fixed-point series
+        ((1.3, 2.0, 2.4, -130.0), "0x1.a18cd0538aa34p-9", "0x1.0000000000004p-62"),
+        ((0.8, 1.2, 2.6, -109.9), "0x1.d9eeabfc3da5fp-7", "0x1.0000000000004p-60"),
+        ((0.5, 3.0, 8.0, -200.0), "0x1.1e55692452919p-2", "0x1.0000000000004p-55"),
+        ((1.5, 3.0, 2.0, -130.0), "0x1.8f951e8994f00p-10", "0x1.0000000000004p-63"),
         # large-x expansion (bounds include the phase rounding term)
-        ((1.3, 2.0, 2.4, -2.0e4, 50), "0x1.4ddd01cadf96ap-20", "0x1.bfcdcd1e49642p-62"),
-        ((1.0, 1.0, 3.5, -180.0, 50), "-0x1.8c1e235795593p-11", "0x1.653d318f8a3fep-55"),
-        ((2.5, 5.5, 3.0, -160.1, 50), "0x1.5cb8d425b62c6p-14", "0x1.9ad256169a488p-48"),
+        ((1.3, 2.0, 2.4, -2.0e4), "0x1.4ddd01cadf96ap-20", "0x1.bfcdcd1e49642p-62"),
+        ((1.0, 1.0, 3.5, -180.0), "-0x1.8c1e235795593p-11", "0x1.653d318f8a3fep-55"),
+        ((2.5, 5.5, 3.0, -160.1), "0x1.5cb8d425b62c6p-14", "0x1.9ad256169a488p-48"),
     ]
 
     @pytest.mark.parametrize("args, value, bound", FROZEN_BITS)
     def test_frozen_bits(self, args, value, bound):
-        *abcx, digits = args
-        got = specfun.hyp1f2_with_bound(*abcx, PrecisionPolicy(highprec_digits=digits))
+        got = specfun.hyp1f2_with_bound(*args)
         assert got == (float.fromhex(value), float.fromhex(bound))
 
-    # the fixed-point sum is exact up to about 10^-digits, so its double is
-    # the correctly rounded one, and the bound holds that error plus the
-    # final rounding; parameters of either sign, off the poles of b and c
-    @given(a=st.floats(-3.0, 6.0), b=_OFF_POLES, c=_OFF_POLES,
-           x=st.floats(-2000.0, -1.0), digits=st.sampled_from([50, 80]))
+    # the fixed-point sum keeps 50 digits below 1 past the largest rise of
+    # its terms, so its double is the correctly rounded one, and the bound
+    # holds that error plus the final rounding; parameters of either sign,
+    # off the poles of b and c.
+    # The bound is half an ulp of the value plus at most ~6,000 * 2^-182:
+    # wherever the series returns, it meets the accuracy target, which is
+    # why no precision beyond 50 digits is ever needed.  At a = 1e-50 the
+    # terms rise ~2^290 from the first one, which is far below 1; a
+    # precision set by the peak term alone left a bound of 1e-7 there
+    @given(a=st.floats(-3.0, 6.0), b=_OFF_POLES, c=_OFF_POLES, x=st.floats(-2000.0, -1.0))
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @example(a=1.3, b=2.0, c=2.4, x=-130.0, digits=50)
-    @example(a=-2.0, b=-0.5, c=2.5, x=-300.0, digits=80)
-    def test_highprec_series_against_exact_sum(self, a, b, c, x, digits):
-        v, bound = specfun._f2_highprec_series(a, b, c, x, digits)
+    @example(a=1.3, b=2.0, c=2.4, x=-130.0)
+    @example(a=-2.0, b=-0.5, c=2.5, x=-300.0)
+    @example(a=2.64, b=1.55, c=0.76, x=-1.45e6)
+    @example(a=1e-50, b=1.0, c=-2.0625, x=-1e4)
+    def test_highprec_series_against_exact_sum(self, a, b, c, x):
+        v, bound = specfun._f2_highprec_series(a, b, c, x)
+        assert bound <= 0.5 * math.ulp(v) * (1.0 + 2.0 ** -40) + 1e-40
         assert v == oracles.series_hyp1f2(a, b, c, x)
         assert oracles.series_hyp1f2_abs_error(v, a, b, c, x) <= bound
 
@@ -512,7 +512,7 @@ class TestHyp1F2:
     def test_highprec_series_term_cap(self):
         abc = (2.64, 1.55, 0.76)
         assert specfun.hyp1f2(*abc, -1.45e6) == oracles.mp_hyp1f2(*abc, -1.45e6)
-        v, bound = specfun._f2_highprec_series(*abc, -4e6, 50)
+        v, bound = specfun._f2_highprec_series(*abc, -4e6)
         assert math.isnan(v) and bound == math.inf
 
     def test_alg_series_coefficient_overflow(self):
@@ -540,7 +540,7 @@ class TestHyp1F2:
         with pytest.raises(OverflowError):
             specfun._f2_asymptotic(a, 1.5, 2.5, 200.0)
         got = specfun.hyp1f2_with_bound(a, 1.5, 2.5, -200.0)
-        assert got == specfun._f2_highprec_series(a, 1.5, 2.5, -200.0, 50)
+        assert got == specfun._f2_highprec_series(a, 1.5, 2.5, -200.0)
 
     # a float x is the one-element array: same bits; an array keeps its shape
     @given(a=st.floats(0.3, 4.0), b=st.floats(0.3, 4.0), c=st.floats(0.3, 4.0),
@@ -628,12 +628,11 @@ class TestHyp1F2:
             specfun.hyp1f2(1.0, -2.0, 1.5, -4.0)
 
     def test_accuracy_error_carries_bound(self):
-        # a hopeless target: e^{2 sqrt(2500)} cancellation swamps every path
-        # at a 1e-30 absolute goal
-        tiny = PrecisionPolicy(target_abs_tol=1e-30, target_rel_tol=1e-30)
+        # past x ~ -2.7e6 the fixed-point series declines, and here the
+        # large-x bound (its phase term) misses the target
         with pytest.raises(AccuracyError) as exc:
-            specfun.hyp1f2(1.5, 3.0, 2.0, -2500.0, policy=tiny)
-        assert exc.value.achieved_bound > 1e-30
+            specfun.hyp1f2(2.64, 1.55, 0.76, -4e6)
+        assert exc.value.achieved_bound == pytest.approx(4.12e-10, rel=1e-3)
 
 
 def test_ln_gamma_complex_on_line():
