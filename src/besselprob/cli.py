@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import platform
+import shlex
 import sys
 import time
 from fractions import Fraction
@@ -61,7 +62,7 @@ def _emit(args, text: str, manifest: dict) -> None:
 
 def _manifest(args, started: float) -> dict:
     return {
-        "command": " ".join(sys.argv),
+        "command": shlex.join(["besselprob", *args.argv]),
         "seed": getattr(args, "seed", None),
         "precision": {"tol": getattr(args, "tol", None)},
         "versions": {
@@ -201,7 +202,7 @@ def cmd_vandantzig_pair(args) -> int:
 def cmd_vandantzig_sample(args) -> int:
     started = time.perf_counter()
     try:
-        model = vandantzig.HittingTimeModel.build(args.alpha, truncation=args.truncation)
+        model = vandantzig.HittingTimeModel.build(args.alpha)
     except ValueError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
@@ -385,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     samp.add_argument("--alpha", type=float, required=True)
     samp.add_argument("--count", type=int, default=10_000)
     samp.add_argument("--kind", choices=("T", "Y"), default="T")
-    samp.add_argument("--truncation", type=int, default=256)
     samp.set_defaults(func=cmd_vandantzig_sample)
 
     gt = sub.add_parser("gammatype", help="Gamma-type moment analysis")
@@ -439,8 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except (ValueError, OverflowError, DivergenceError) as exc:

@@ -25,14 +25,6 @@ def normal_from_uniform(u: np.ndarray) -> np.ndarray:
     return backend.normal_inv_cdf(u)
 
 
-def exponential_from_uniform(u: np.ndarray) -> np.ndarray:
-    """Unit exponential by inversion; u in [0, 1).  Computes
-    -log1p(-u) in one new array, without temporaries."""
-    e = np.negative(np.asarray(u, dtype=float))
-    np.log1p(e, out=e)
-    return np.negative(e, out=e)
-
-
 def block_rows(count: int):
     """Yield (block index, rows) per block of sample indices, rows being a
     slice of range(count)."""

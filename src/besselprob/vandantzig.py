@@ -8,17 +8,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import rng
-from .backend import bessel_i_normalized, bessel_j_normalized
+from .backend import bessel_i_normalized, bessel_j_array, bessel_j_normalized
 from .specfun import ZeroTable, bessel_zeros, ln_gamma, zero_tail_power_sum
 
 __all__ = [
     "PowerSemicircle",
     "HittingTimeModel",
+    "SpectralTable",
     "PairReport",
     "semicircle_density",
     "semicircle_cf",
@@ -27,6 +29,7 @@ __all__ = [
     "mean_hitting_time",
     "hitting_time_lt",
     "hitting_time_lt_product",
+    "hitting_time_quantile",
     "sample_hitting_time",
     "sample_subordinated",
     "verify_pair",
@@ -91,9 +94,15 @@ def mean_hitting_time(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class HittingTimeModel:
-    """Law of the first time a Bessel process of dimension 2 alpha + 1
-    started at 0 hits level 1, represented spectrally through the first N
-    squared zeros plus the deterministic mean of the truncated tail."""
+    """Law of T, the first time a Bessel process of dimension 2 alpha + 2
+    (index alpha) started at 0 hits level 1, so E[T] = 1 / (2 alpha + 2).
+
+    `zeros` holds the first `truncation` zeros j_n of J_alpha, and
+    `tail_mean` the mean sum_{n > N} 2 / j_n^2 of the dropped part of
+    T = sum_n 2 E_n / j_n^2 (E_n unit exponentials), which
+    `hitting_time_lt_product` reads.  `spectral` is the table the samplers
+    invert; it takes only the first zeros, so draws do not depend on
+    `truncation`."""
 
     alpha: float
     zeros: ZeroTable
@@ -114,6 +123,11 @@ class HittingTimeModel:
                 raise ValueError(f"negative tail mean {tail}; zero table broken?")
             tail = 0.0
         return cls(alpha=alpha, zeros=table, truncation=truncation, tail_mean=tail)
+
+    @property
+    def spectral(self) -> "SpectralTable":
+        """The inverse-CDF table of the samplers, built once per zero table."""
+        return _spectral_table(self.zeros)
 
 
 def hitting_time_lt(model, lam: float) -> float:
@@ -172,42 +186,181 @@ def hadamard_cf(model: PowerSemicircle, z: float, truncation: int = 200,
     return -val if negative else val
 
 
+# The survival function of T from the residues of 1 / I_norm (Kent 1978,
+# Ann. Probab. 6; Hamana and Matsumoto 2013, Trans. AMS 365):
+#   S(t) = P(T > t) = sum_n w_n exp(-j_n^2 t / 2),  w_n = 2 c_n / j_n^2,
+#   c_n = j_n^(alpha+1) / (2^alpha Gamma(alpha+1) J_{alpha+1}(j_n)),
+# and the density f(t) = sum_n c_n exp(-j_n^2 t / 2).
+_EPS = 2.0 ** -52
+_TERM_ZEROS = 64           # zeros from which the table picks its terms
+_LEFT_NOISE = 1e-3         # rounding of S allowed at t_c, relative to F(t_c)
+_TABLE_POINTS = 512
+_NEWTON_STEPS = 2
+_LEFT_STEPS = 4
+_EXP_FLOOR = -700.0        # exp below this underflows; numpy's exp is ~20x
+                           # slower there, and such terms are below 1e-280
+_U_FLOOR = 2.0 ** -54      # u = 0 is inverted at half the smallest uniform
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralTable:
+    """The spectral survival series of T and the table that inverts it.
+
+    `half_j2` (j_n^2 / 2) and `weights` (w_n) hold the N terms of
+    S(t) = P(T > t) that matter from `t_c` on.  `log_t` is a geometric grid
+    on [t_c, t_r] and `logit` holds log F - log S there (F = 1 - S); past
+    t_r the first term alone is S to rounding.  Below `t_c` the series
+    cancels in double precision, and F is the leading small-time term
+    t^-alpha exp(-1 / (2 t)) scaled to equal F at t_c.  `ks_bound` is
+    F(t_c): the sampled law's CDF differs from T's by at most that much.
+    """
+
+    alpha: float
+    half_j2: np.ndarray
+    weights: np.ndarray
+    t_c: float
+    ks_bound: float
+    log_t: np.ndarray
+    logit: np.ndarray
+
+
+def _series(half_j2: np.ndarray, weights: np.ndarray, t: np.ndarray):
+    """S(t) and the density f(t) at each element of t.  The terms are added
+    in order of n, element by element, so each value depends on its own t
+    only."""
+    s = np.zeros_like(t)
+    f = np.zeros_like(t)
+    for a, w in zip(half_j2, weights):
+        e = np.exp(np.maximum(-a * t, _EXP_FLOOR))
+        s += w * e
+        f += (a * w) * e
+    return s, f
+
+
+@lru_cache(maxsize=64)
+def _spectral_table(zeros: ZeroTable) -> SpectralTable:
+    """t_c is the smallest point of a geometric candidate grid from which on
+    the rounding of S, 4 eps sum_n |w_n| exp(-j_n^2 t / 2), stays within
+    `_LEFT_NOISE` F(t) and so does the last term taken; the table keeps
+    the terms that exceed eps * `_LEFT_NOISE` F(t_c) there."""
+    alpha = zeros.alpha
+    j = np.asarray(zeros.zeros[:_TERM_ZEROS])
+    log_norm = alpha * math.log(2.0) + ln_gamma(alpha + 1.0)
+    w = 2.0 * np.exp((alpha - 1.0) * np.log(j) - log_norm) / bessel_j_array(alpha + 1.0, j)
+    if not (np.all(w[::2] > 0.0) and np.all(w[1::2] < 0.0)):
+        # J_{alpha+1} alternates in sign over consecutive zeros of J_alpha
+        raise ValueError(f"the zero table of J_{alpha!r} skips a zero")
+    half_j2 = 0.5 * j * j
+
+    cand = np.geomspace(1e-3, 1.0, 601)
+    terms = w * np.exp(np.maximum(-np.multiply.outer(cand, half_j2), _EXP_FLOOR))
+    f_cand = 1.0 - terms.sum(axis=1)
+    noise = _LEFT_NOISE * f_cand
+    ok = (4.0 * _EPS * np.abs(terms).sum(axis=1) <= noise) \
+        & (np.abs(terms[:, -1]) <= _EPS * noise)
+    bad = np.flatnonzero(~ok)
+    first = bad[-1] + 1 if bad.size else 0
+    # past t_r the second term is below eps times the first
+    t_r = math.log(-w[1] / (_EPS * w[0])) / (half_j2[1] - half_j2[0])
+    # the left-tail Newton needs 1 / t_c > 2 alpha
+    if first == cand.size or not t_r > cand[first] or 2.0 * alpha * cand[first] >= 1.0:
+        raise ValueError(f"no spectral table for alpha = {alpha!r}: the series "
+                         "cancels in double precision up to its bulk")
+    t_c = float(cand[first])
+    n = int(np.flatnonzero(np.abs(terms[first]) > _EPS * noise[first])[-1]) + 1
+
+    half_j2, w = half_j2[:n], w[:n]
+    log_t = np.linspace(math.log(t_c), math.log(t_r), _TABLE_POINTS)
+    s, _ = _series(half_j2, w, np.exp(log_t))
+    # t_c and F(t_c) as the table holds them, so the two routes meet there
+    return SpectralTable(alpha=alpha, half_j2=half_j2, weights=w,
+                         t_c=float(np.exp(log_t[0])), ks_bound=float(1.0 - s[0]),
+                         log_t=log_t, logit=np.log(1.0 - s) - np.log(s))
+
+
+def _left_tail(table: SpectralTable, u: np.ndarray) -> np.ndarray:
+    """t with K t^-alpha exp(-1 / (2 t)) = u for u < F(t_c), K making it
+    F(t_c) at t_c: Newton in s = 1 / t on
+    h(s) = (s - s_c) / 2 - alpha log(s / s_c) - log(F(t_c) / u), which is
+    monotone for s > 2 alpha (the table guarantees s_c > 2 alpha)."""
+    alpha, s_c = table.alpha, 1.0 / table.t_c
+    r = np.log(table.ks_bound / np.maximum(u, _U_FLOOR))
+    s = s_c + 2.0 * r
+    for _ in range(_LEFT_STEPS):
+        s -= (0.5 * (s - s_c) - alpha * np.log(s / s_c) - r) / (0.5 - alpha / s)
+    return 1.0 / s
+
+
+def _quantile(table: SpectralTable, u: np.ndarray) -> np.ndarray:
+    """Element-wise inverse of F: each output depends on its own u only."""
+    t = np.empty_like(u)
+    left = u < table.ks_bound
+    t[left] = _left_tail(table, u[left])
+    um = u[~left]
+    y = np.log(um) - np.log1p(-um)
+    k = np.searchsorted(table.logit, y)
+    past = k == _TABLE_POINTS
+    k = np.clip(k, 1, _TABLE_POINTS - 1)
+    x0, y0 = table.log_t[k - 1], table.logit[k - 1]
+    x = x0 + (y - y0) * (table.log_t[k] - x0) / (table.logit[k] - y0)
+    # past the table S is its first term: w_1 exp(-j_1^2 t / 2) = 1 - u
+    x[past] = np.log((math.log(table.weights[0]) - np.log1p(-um[past]))
+                     / table.half_j2[0])
+    for _ in range(_NEWTON_STEPS):
+        # Newton on log F - log S = y in x = log t
+        tx = np.exp(x)
+        s, f = _series(table.half_j2, table.weights, tx)
+        big_f = 1.0 - s
+        x -= (np.log(big_f) - np.log(s) - y) * big_f * s / (tx * f)
+    t[~left] = np.exp(x)
+    return t
+
+
+def hitting_time_quantile(model: HittingTimeModel, u) -> np.ndarray:
+    """T's inverse CDF at each element of u in [0, 1), as an array.
+
+    Two Newton steps on the spectral series from a start read off
+    `model.spectral`; below F(t_c) the inverse of the small-time term
+    (u below 2^-54, 0 included, maps to the point of 2^-54).  The sup-norm CDF error is at
+    most `model.spectral.ks_bound`.  For u > 1/2 the survival value meets
+    1 - u to about 1e-14 relative at alpha <= 2; at larger alpha the
+    accuracy of the zeros and of J_{alpha+1} there limits it."""
+    u = np.array(u, dtype=float, ndmin=1)
+    if not np.all((u >= 0.0) & (u < 1.0)):
+        raise ValueError("u must lie in [0, 1)")
+    return _quantile(model.spectral, u)
+
+
 def _hitting_time_blocks(model: HittingTimeModel, rng_seed: int, count: int,
                          per_sample: int):
     """Yield (rows, uniforms, T) per rng block: T is drawn from the first
-    len(model.zeros) uniform columns, the caller owns any further ones."""
-    n = len(model.zeros)
-    inv_j2 = 2.0 / np.asarray(model.zeros.zeros) ** 2
+    uniform column, the caller owns any further ones."""
+    table = model.spectral
     for rows, u in rng.blocks(rng_seed, count, per_sample):
-        e = rng.exponential_from_uniform(u[:, :n])
-        # a per-row sum outside BLAS, so the bits of each draw depend neither
-        # on the BLAS thread count nor on how many rows the block has
-        yield rows, u, np.einsum("ij,j->i", e, inv_j2) + model.tail_mean
+        yield rows, u, _quantile(table, u[:, 0])
 
 
 def sample_hitting_time(model: HittingTimeModel, rng_seed: int,
                         count: int) -> np.ndarray:
-    """count independent draws: sum_n 2 E_n / j_n^2 over the table plus the
-    deterministic tail mean (E_n unit exponentials)."""
+    """count independent draws of T, one uniform each, through
+    `hitting_time_quantile`."""
     if count < 1:
         raise ValueError("count must be >= 1")
     out = np.empty(count)
-    for rows, _, t in _hitting_time_blocks(model, rng_seed, count, len(model.zeros)):
+    for rows, _, t in _hitting_time_blocks(model, rng_seed, count, 1):
         out[rows] = t
     return out
 
 
 def sample_subordinated(model: HittingTimeModel, rng_seed: int,
                         count: int) -> np.ndarray:
-    """Y = sqrt(T) Z with Z standard normal, T a hitting-time draw; the
-    normal stream rides in the same per-block uniforms as T, one column
-    past the exponentials."""
+    """Y = sqrt(T) Z with Z standard normal, T a hitting-time draw; two
+    uniforms per draw, the first for T and the second for Z."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    n = len(model.zeros)
     out = np.empty(count)
-    for rows, u, t in _hitting_time_blocks(model, rng_seed, count, n + 1):
-        out[rows] = np.sqrt(t) * rng.normal_from_uniform(u[:, n])
+    for rows, u, t in _hitting_time_blocks(model, rng_seed, count, 2):
+        out[rows] = np.sqrt(t) * rng.normal_from_uniform(u[:, 1])
     return out
 
 

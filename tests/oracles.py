@@ -108,3 +108,31 @@ def bessel_j_zero(alpha, k, near, dps=40):
         if alpha >= 0:
             return +mp.besseljzero(alpha, k)
         return mp.findroot(lambda z: mp.besselj(alpha, z), mp.mpf(near))
+
+
+def hitting_time_cdf(alpha, t, zeros, dps=40):
+    """(F, S) = (P(T <= t), P(T > t)) for T the hitting time of the
+    index-alpha Bessel process, from the spectral series
+    S(t) = sum_n w_n exp(-j_n^2 t / 2),
+    w_n = 2 j_n^(alpha-1) / (2^alpha Gamma(alpha+1) J_{alpha+1}(j_n)),
+    summed over the given zeros at `dps` digits; mpf values."""
+    with mp.workdps(dps):
+        a, t = mp.mpf(alpha), mp.mpf(t)
+        norm = 2 ** a * mp.gamma(a + 1)
+        s = mp.fsum(2 * j ** (a - 1) / (norm * mp.besselj(a + 1, j)) * mp.exp(-j * j * t / 2)
+                    for j in zeros)
+        return 1 - s, s
+
+
+def theta_hitting_time_cdf(t, dps=40, terms=40):
+    """(F, S) at alpha = 1/2, where T is the hitting time of 1 by a
+    three-dimensional Bessel process, from the two Jacobi-theta forms:
+    F(t) = 2 sqrt(2 / (pi t)) sum_{k>=0} exp(-(2k+1)^2 / (2t)) and
+    S(t) = 2 sum_{n>=1} (-1)^(n+1) exp(-n^2 pi^2 t / 2); mpf values."""
+    with mp.workdps(dps):
+        t = mp.mpf(t)
+        f = 2 * mp.sqrt(2 / (mp.pi * t)) * mp.fsum(
+            mp.exp(-(2 * k + 1) ** 2 / (2 * t)) for k in range(terms))
+        s = 2 * mp.fsum((-1) ** (n + 1) * mp.exp(-n * n * mp.pi ** 2 * t / 2)
+                        for n in range(1, terms + 1))
+        return f, s

@@ -100,6 +100,13 @@ class TestVandantzigCommands:
         assert lines[0] == "value"
         assert len(lines) == 65
 
+    def test_removed_truncation_flag_is_usage_error(self, tmp_path):
+        # the draws no longer depend on the zero-table size
+        with pytest.raises(SystemExit) as exc:
+            run(["vandantzig", "sample", "--alpha", "1.0", "--truncation", "64",
+                 "--out", str(tmp_path / "draws.csv")])
+        assert exc.value.code == 2
+
     def test_determinism(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -247,6 +254,16 @@ def test_manifest_contents(tmp_path):
             "output_sha256"} <= set(manifest)
     import hashlib
     assert manifest["output_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_manifest_records_the_parsed_argv(tmp_path):
+    # an in-process run records its own command, not the host's sys.argv
+    out = tmp_path / "draws.csv"
+    argv = ["vandantzig", "sample", "--alpha", "1", "--count", "16", "--kind", "Y",
+            "--out", str(out)]
+    assert run(argv) == 0
+    manifest = json.loads((tmp_path / "draws.csv.manifest.json").read_text())
+    assert shlex.split(manifest["command"]) == ["besselprob", *argv]
 
 
 # every command line of the README, with its documented exit code: 0, or 3

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import besselprob
+import oracles
 from besselprob import quad, rng, specfun, vandantzig as vd
 
 # frozen 50-digit values
@@ -186,22 +187,21 @@ class TestSampling:
         small = getattr(vd, sampler)(m, 23, 9000)
         assert np.array_equal(big[:9000], small)
 
-    def test_streaming_matches_whole_matrix_formula(self):
-        # reference: all uniforms at once, T as one matrix-vector product;
-        # the streamed per-row sums may differ from it in the last bits only
-        m = vd.HittingTimeModel.build(0.5)
-        n = len(m.zeros)
-        inv_j2 = 2.0 / np.asarray(m.zeros.zeros) ** 2
+    def test_first_draws_pinned(self):
+        # a tolerance, not a digest: numpy's SIMD exp may round differently
+        # on another CPU
+        m = vd.HittingTimeModel.build(1.0)
+        np.testing.assert_allclose(
+            vd.sample_hitting_time(m, 7, 8),
+            [0.4038228140712607, 0.15963500459248153, 0.1912597935402794,
+             0.18736457120203961, 0.10406811745654254, 0.2850310201147896,
+             0.15987784365073995, 0.2535804043003257], rtol=1e-12)
 
-        def whole(per_sample):
-            u = rng.uniform_blocks(29, 5000, per_sample)
-            return u, rng.exponential_from_uniform(u[:, :n]) @ inv_j2 + m.tail_mean
-
-        _, t = whole(n)
-        np.testing.assert_allclose(vd.sample_hitting_time(m, 29, 5000), t, rtol=1e-14)
-        u, t = whole(n + 1)
-        y = np.sqrt(t) * rng.normal_from_uniform(u[:, n])
-        np.testing.assert_allclose(vd.sample_subordinated(m, 29, 5000), y, rtol=1e-14)
+    def test_draws_do_not_depend_on_truncation(self):
+        short = vd.HittingTimeModel.build(1.0, truncation=50)
+        long = vd.HittingTimeModel.build(1.0, truncation=256)
+        for sampler in (vd.sample_hitting_time, vd.sample_subordinated):
+            assert np.array_equal(sampler(short, 3, 5000), sampler(long, 3, 5000))
 
     def test_independent_of_blas_threads(self):
         # the same seed gives the same bytes whatever the BLAS thread count
@@ -258,6 +258,107 @@ class TestSampling:
         emp = np.cos(t * ys)
         se = emp.std(ddof=1) / math.sqrt(len(ys))
         assert abs(emp.mean() - vd.hitting_time_lt(m, 0.5 * t * t)) <= 3.0 * se
+
+
+CDF_U = (0.0, 2.0 ** -53, 1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0 - 2.0 ** -53)
+
+
+def _spectral_oracle(alpha, count):
+    near = specfun.bessel_zeros(alpha, count).zeros
+    zeros = [oracles.bessel_j_zero(alpha, k + 1, near[k]) for k in range(count)]
+    return lambda t: oracles.hitting_time_cdf(alpha, t, zeros)
+
+
+class TestQuantile:
+    def _cdf_errors(self, model, cdf, us):
+        """|F(t(u)) - u| at each u, and |S(t(u)) - (1 - u)| / (1 - u) for
+        u > 1/2."""
+        ks, rel = [], []
+        for u, t in zip(us, vd.hitting_time_quantile(model, us)):
+            f, s = cdf(float(t))
+            ks.append(float(abs(f - u)))
+            if u > 0.5:
+                rel.append(float(abs(s - (1 - oracles.mp.mpf(u))) / (1 - oracles.mp.mpf(u))))
+        return np.array(ks), np.array(rel)
+
+    @pytest.mark.parametrize("alpha", [-0.45, 0.0, 0.5, 1.3, 2.0])
+    def test_cdf_against_oracle(self, alpha):
+        # alpha = 1/2 against the Jacobi-theta forms, the others against
+        # the spectral series at 40 digits over 60 mpmath zeros
+        m = vd.HittingTimeModel.build(alpha)
+        cdf = (oracles.theta_hitting_time_cdf if alpha == 0.5
+               else _spectral_oracle(alpha, 60))
+        us = np.concatenate([CDF_U, np.geomspace(1e-11, 0.999, 12),
+                             1.0 - np.geomspace(1e-15, 0.4, 8)])
+        ks, rel = self._cdf_errors(m, cdf, us)
+        assert m.spectral.ks_bound <= 1e-10
+        assert ks.max() <= m.spectral.ks_bound
+        assert rel.max() <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [7.3, 30.0])
+    def test_cdf_error_within_reported_bound(self, alpha):
+        m = vd.HittingTimeModel.build(alpha)
+        us = np.concatenate([CDF_U, np.geomspace(m.spectral.ks_bound / 10, 0.999, 12)])
+        ks, _ = self._cdf_errors(m, _spectral_oracle(alpha, 90), us)
+        assert ks.max() <= m.spectral.ks_bound
+
+    @pytest.mark.parametrize("alpha", [-0.45, 0.0, 2.0, 30.0])
+    def test_draws_finite_and_positive(self, alpha):
+        m = vd.HittingTimeModel.build(alpha)
+        # the left-tail route, the table, and past the table's right end
+        t = vd.hitting_time_quantile(m, np.concatenate(
+            [[0.0, 2.0 ** -53], np.geomspace(1e-15, 0.5, 40),
+             1.0 - np.geomspace(0.4, 2.0 ** -53, 40)]))
+        assert np.all(np.isfinite(t) & (t > 0.0))
+        assert np.all(np.diff(t) > 0.0)
+        assert np.all(vd.sample_hitting_time(m, 41, 20000) > 0.0)
+        assert np.all(np.isfinite(vd.sample_subordinated(m, 41, 20000)))
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.0])
+    def test_mean_and_variance(self, alpha):
+        # T = sum_n 2 E_n / j_n^2: E[T] = 1 / (2 alpha + 2),
+        # Var T = sum_n 4 / j_n^4
+        m = vd.HittingTimeModel.build(alpha)
+        t = vd.sample_hitting_time(m, 2024, 1_000_000)
+        j = np.asarray(m.zeros.zeros)
+        var = float(np.sum(4.0 / j ** 4)) + 4.0 * specfun.zero_tail_power_sum(m.zeros, 4)
+        assert abs(t.mean() - 0.5 / (alpha + 1.0)) <= 4.0 * math.sqrt(var / t.size)
+        c = t - t.mean()
+        var_se = math.sqrt((np.mean(c ** 4) - np.mean(c ** 2) ** 2) / t.size)
+        assert abs(t.var(ddof=1) - var) <= 4.0 * var_se
+
+    def test_ks_against_sum_of_exponentials(self):
+        # the former sampler: T = sum_n 2 E_n / j_n^2 over 256 zeros plus
+        # the mean of the dropped terms, E_n unit exponentials
+        m = vd.HittingTimeModel.build(1.0)
+        n = 20000
+        inv_j2 = 2.0 / np.asarray(m.zeros.zeros) ** 2
+        u = rng.uniform_blocks(29, n, inv_j2.size)
+        old = np.sort(-np.log1p(-u) @ inv_j2 + m.tail_mean)
+        new = np.sort(vd.sample_hitting_time(m, 31, n))
+
+        def ks(a, b):
+            grid = np.concatenate([a, b])
+            return np.max(np.abs(np.searchsorted(a, grid, side="right")
+                                 - np.searchsorted(b, grid, side="right"))) / n
+
+        critical = 1.95 * math.sqrt(2.0 / n)   # two-sample KS at the 0.1 % level
+        assert ks(old, new) <= critical
+        assert ks(old, 1.05 * new) > critical   # the test can fail
+
+    def test_domain(self):
+        m = vd.HittingTimeModel.build(1.0)
+        for u in (-0.1, 1.0, math.nan):
+            with pytest.raises(ValueError):
+                vd.hitting_time_quantile(m, [0.5, u])
+
+    def test_table_rejects_a_skipped_zero(self):
+        # J_{alpha+1} alternates in sign over consecutive zeros of J_alpha
+        zeros = specfun.bessel_zeros(1.0, 64).zeros
+        m = vd.HittingTimeModel(alpha=1.0, zeros=specfun.ZeroTable(1.0, zeros[1:]),
+                                truncation=63, tail_mean=0.0)
+        with pytest.raises(ValueError, match="skips a zero"):
+            m.spectral
 
 
 class TestVerifyPair:
