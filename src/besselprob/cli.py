@@ -185,11 +185,7 @@ def cmd_verify_appendix(args) -> int:
 
 def cmd_vandantzig_pair(args) -> int:
     started = time.perf_counter()
-    try:
-        model = vandantzig.PowerSemicircle(args.alpha)
-    except ValueError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_USAGE
+    model = vandantzig.PowerSemicircle(args.alpha)
     grid = np.linspace(args.grid_max / 128.0, args.grid_max, 128)
     report = vandantzig.verify_pair(model, grid, mc_count=args.mc, seed=args.seed)
     ok = (report.max_identity_error <= 1e-8
@@ -201,11 +197,7 @@ def cmd_vandantzig_pair(args) -> int:
 
 def cmd_vandantzig_sample(args) -> int:
     started = time.perf_counter()
-    try:
-        model = vandantzig.HittingTimeModel.build(args.alpha)
-    except ValueError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_USAGE
+    model = vandantzig.HittingTimeModel.build(args.alpha)
     if args.kind == "T":
         values = vandantzig.sample_hitting_time(model, args.seed, args.count)
     else:
@@ -230,23 +222,19 @@ def _load_spec(args) -> gammatype.GammaRatioSpec:
 
 def cmd_gammatype_exists(args) -> int:
     started = time.perf_counter()
-    try:
-        if args.spec_json or args.spec_file:
-            spec = _load_spec(args)
-            verdict = gammatype.exists_spec(spec)
-            payload = verdict.to_dict()
-            if spec.has_atom_at_one:
-                payload["atom_at_one"] = gammatype.atom_at_one(spec)
-        elif None not in (args.a, args.b, args.c, args.d):
-            verdict = gammatype.exists_D(
-                _parse_number(args.a), _parse_number(args.b),
-                _parse_number(args.c), _parse_number(args.d))
-            payload = verdict.to_dict()
-        else:
-            sys.stderr.write("give either a spec or all of -a -b -c -d\n")
-            return EXIT_USAGE
-    except (ValueError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"{exc}\n")
+    if args.spec_json or args.spec_file:
+        spec = _load_spec(args)
+        verdict = gammatype.exists_spec(spec)
+        payload = verdict.to_dict()
+        if spec.has_atom_at_one:
+            payload["atom_at_one"] = gammatype.atom_at_one(spec)
+    elif None not in (args.a, args.b, args.c, args.d):
+        verdict = gammatype.exists_D(
+            _parse_number(args.a), _parse_number(args.b),
+            _parse_number(args.c), _parse_number(args.d))
+        payload = verdict.to_dict()
+    else:
+        sys.stderr.write("give either a spec or all of -a -b -c -d\n")
         return EXIT_USAGE
     _emit(args, _canonical(payload), _manifest(args, started))
     return {"Exists": EXIT_PASS, "NotExists": EXIT_NOT_EXISTS,
@@ -274,29 +262,17 @@ def cmd_gammatype_boundary(args) -> int:
 
 def cmd_gammatype_density(args) -> int:
     started = time.perf_counter()
-    try:
-        spec = _load_spec(args)
-        xs = _parse_list(args.x_list)
-        rows = [{"x": x, "density": gammatype.density_via_inversion(
-            spec, x, line_sigma=args.sigma, truncation=args.truncation)}
-            for x in xs]
-    except (ValueError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_USAGE
-    except AccuracyError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_TOL
+    spec = _load_spec(args)
+    rows = [{"x": x, "density": gammatype.density_via_inversion(
+        spec, x, line_sigma=args.sigma, truncation=args.truncation)}
+        for x in _parse_list(args.x_list)]
     _emit(args, _canonical({"rows": rows}), _manifest(args, started))
     return EXIT_PASS
 
 
 def cmd_gammatype_quasilevy(args) -> int:
     started = time.perf_counter()
-    try:
-        q = gammatype.QuasiLevySpec(_parse_number(args.a), _parse_number(args.b))
-    except ValueError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_USAGE
+    q = gammatype.QuasiLevySpec(_parse_number(args.a), _parse_number(args.b))
     root = gammatype.quasi_levy_root(q)
     ss = _parse_list(args.s_list) if args.s_list else [-q.a / 2.0, q.b / 2.0]
     checks = []
@@ -321,23 +297,15 @@ def cmd_gammatype_convexity(args) -> int:
     a = _parse_number(args.a)
     b = _parse_number(args.b)
     us = list(np.linspace(args.u_from, args.u_to, args.u_count))
-    try:
-        report = gammatype.convexity_scan(a, b, us, resolution=args.resolution)
-    except ValueError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_USAGE
+    report = gammatype.convexity_scan(a, b, us, resolution=args.resolution)
     _emit(args, _canonical(report), _manifest(args, started))
     return EXIT_PASS if report["monotonicity_violations"] == 0 else EXIT_TOL
 
 
 def cmd_sample_ratio_product(args) -> int:
     started = time.perf_counter()
-    try:
-        spec = _load_spec(args)
-        values = gammatype.sample_ratio_product(spec, args.seed, args.count)
-    except (ValueError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_USAGE
+    spec = _load_spec(args)
+    values = gammatype.sample_ratio_product(spec, args.seed, args.count)
     text = "value\n" + "".join(f"{v:.17g}\n" for v in values)
     _emit(args, text, _manifest(args, started))
     return EXIT_PASS
@@ -442,6 +410,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     args.argv = argv
+    # the commands leave their domain and accuracy errors to this mapping
     try:
         return args.func(args)
     except (ValueError, OverflowError, DivergenceError) as exc:

@@ -19,7 +19,6 @@ from ._kernels_py import _LANCZOS_C, _LANCZOS_G
 from .errors import AccuracyError, BracketError
 
 __all__ = [
-    "BesselOrder",
     "ZeroTable",
     "ln_gamma",
     "ln_gamma_complex",
@@ -42,21 +41,11 @@ __all__ = [
 
 ln_gamma = backend.ln_gamma
 digamma = backend.digamma
+bessel_j = backend.bessel_j
+bessel_i = backend.bessel_i
+bessel_j_prime = backend.bessel_j_prime
 bessel_j_normalized = backend.bessel_j_normalized
 bessel_i_normalized = backend.bessel_i_normalized
-
-
-@dataclass(frozen=True)
-class BesselOrder:
-    """Bessel order alpha; the J/I series require alpha > -1."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if math.isnan(self.alpha) or math.isinf(self.alpha):
-            raise ValueError(f"order must be finite, got {self.alpha!r}")
-        if not self.alpha > -1.0:
-            raise ValueError(f"order must satisfy alpha > -1, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -80,24 +69,6 @@ class ZeroTable:
 
     def __getitem__(self, i):
         return self.zeros[i]
-
-
-def _order_alpha(order) -> float:
-    return order.alpha if isinstance(order, BesselOrder) else float(order)
-
-
-def bessel_j(order, z: float) -> float:
-    """J_alpha(z), alpha > -1, z >= 0 (z = 0 needs alpha >= 0)."""
-    return backend.bessel_j(_order_alpha(order), z)
-
-
-def bessel_i(order, z: float) -> float:
-    """I_alpha(z), alpha > -1, z >= 0; raises OverflowError past z ~ 690."""
-    return backend.bessel_i(_order_alpha(order), z)
-
-
-def bessel_j_prime(order, z: float) -> float:
-    return backend.bessel_j_prime(_order_alpha(order), z)
 
 
 def gamma(x: float) -> float:
@@ -213,7 +184,7 @@ def _refine_zero(alpha: float, a: float, b: float, fa: float) -> float:
 
 
 @lru_cache(maxsize=128)
-def bessel_zeros(order, count: int) -> ZeroTable:
+def bessel_zeros(alpha: float, count: int) -> ZeroTable:
     """First `count` positive zeros of J_alpha.
 
     McMahon-type initial guesses refined by safeguarded Newton using
@@ -222,10 +193,10 @@ def bessel_zeros(order, count: int) -> ZeroTable:
     three or four J evaluations.  A step that leaves the bracket is
     replaced by bisection.  The zeros are as accurate as `bessel_j` near
     them: a few ulps from one unit past `j_crossover`, up to ~1e-12
-    relative below it.  Tables depend only on (order, count) and are
+    relative below it.  Tables depend only on (alpha, count) and are
     cached: repeated calls return the same table.
     """
-    alpha = _order_alpha(order)
+    alpha = float(alpha)
     if math.isnan(alpha) or not alpha > -1.0:
         raise ValueError(f"need alpha > -1, got {alpha!r}")
     if count < 1:

@@ -77,19 +77,12 @@ def semicircle_cf_imag_axis(model: PowerSemicircle, t: float) -> float:
 
 
 def mean_hitting_time(alpha: float) -> float:
-    """E[T] as the negative derivative of the closed-form transform at 0.
+    """E[T] = sum_n 2 / j_n^2 = 1 / (2 alpha + 2), by Rayleigh's sum
+    sum_n j_n^-2 = 1 / (4 (alpha + 1)) over the zeros of J_alpha."""
+    return 0.5 / (alpha + 1.0)
 
-    Five-point stencil at step 1e-3: the plain central difference at tiny
-    steps has a rounding floor ~1e-11 which is too coarse for the product
-    tail corrections downstream."""
-    h = 1e-3
 
-    def lt(lam: float) -> float:
-        if lam >= 0.0:
-            return 1.0 / bessel_i_normalized(alpha, math.sqrt(2.0 * lam))
-        return 1.0 / bessel_j_normalized(alpha, math.sqrt(-2.0 * lam))
-
-    return -(-lt(2.0 * h) + 8.0 * lt(h) - 8.0 * lt(-h) + lt(-2.0 * h)) / (12.0 * h)
+_MODEL_ZEROS = 256         # zeros in a HittingTimeModel's table
 
 
 @dataclass(frozen=True)
@@ -97,32 +90,28 @@ class HittingTimeModel:
     """Law of T, the first time a Bessel process of dimension 2 alpha + 2
     (index alpha) started at 0 hits level 1, so E[T] = 1 / (2 alpha + 2).
 
-    `zeros` holds the first `truncation` zeros j_n of J_alpha, and
-    `tail_mean` the mean sum_{n > N} 2 / j_n^2 of the dropped part of
-    T = sum_n 2 E_n / j_n^2 (E_n unit exponentials), which
-    `hitting_time_lt_product` reads.  `spectral` is the table the samplers
-    invert; it takes only the first zeros, so draws do not depend on
-    `truncation`."""
+    `zeros` holds the first 256 zeros j_n of J_alpha, and `tail_mean` the
+    mean sum_{n > 256} 2 / j_n^2 of the dropped part of
+    T = sum_n 2 E_n / j_n^2 (E_n unit exponentials), from the closed-form
+    E[T]; `build` raises when the table's part exceeds E[T].  `spectral`
+    is the table the samplers invert; it takes only the first zeros."""
 
     alpha: float
     zeros: ZeroTable
-    truncation: int
     tail_mean: float
 
     @classmethod
-    def build(cls, alpha: float, truncation: int = 256) -> "HittingTimeModel":
+    def build(cls, alpha: float) -> "HittingTimeModel":
         if math.isnan(alpha) or alpha <= -0.5 + _MIN_ALPHA_MARGIN:
             raise ValueError(f"need alpha > -1/2, got {alpha!r}")
-        if truncation < 50:
-            raise ValueError("truncation must be >= 50")
-        table = bessel_zeros(alpha, truncation)
+        table = bessel_zeros(alpha, _MODEL_ZEROS)
         partial = sum(2.0 / (z * z) for z in table.zeros)
         tail = mean_hitting_time(alpha) - partial
         if tail < 0.0:
             if tail < -1e-9:
                 raise ValueError(f"negative tail mean {tail}; zero table broken?")
             tail = 0.0
-        return cls(alpha=alpha, zeros=table, truncation=truncation, tail_mean=tail)
+        return cls(alpha=alpha, zeros=table, tail_mean=tail)
 
     @property
     def spectral(self) -> "SpectralTable":
@@ -139,50 +128,60 @@ def hitting_time_lt(model, lam: float) -> float:
     return 1.0 / bessel_i_normalized(alpha, math.sqrt(2.0 * lam))
 
 
+def _log_zero_product(table: ZeroTable, y: float):
+    """(log |P|, P < 0) for P = prod_n (1 + y / j_n^2) over all zeros of
+    J_alpha, which is I_norm(sqrt(y)) for y >= 0 and J_norm(sqrt(-y))
+    for y < 0.
+
+    The table's factors are multiplied out; the dropped ones contribute
+    sum_{n>N} log(1 + y / j_n^2), expanded through third order in y.  Its
+    first power sum is Rayleigh's sum_n j_n^-2 = E[T] / 2 less the table's
+    part, the other two are `zero_tail_power_sum`.  A zero factor gives
+    log |P| = -inf."""
+    log_p = 0.0
+    negative = False
+    s2 = 0.0
+    for j in table.zeros:
+        j2 = j * j
+        f = 1.0 + y / j2
+        s2 += 1.0 / j2
+        if f > 0.0:
+            log_p += math.log(f)
+        elif f < 0.0:
+            negative = not negative
+            log_p += math.log(-f)
+        else:
+            return -math.inf, False
+    t1 = 0.5 * mean_hitting_time(table.alpha) - s2
+    t2 = zero_tail_power_sum(table, 4)
+    t3 = zero_tail_power_sum(table, 6)
+    return log_p + y * t1 - 0.5 * y * y * t2 + (y ** 3) * t3 / 3.0, negative
+
+
 def hitting_time_lt_product(model: HittingTimeModel, lam: float) -> float:
-    """Truncated-product cross-check: prod_n (1 + 2 lam / j_n^2)^{-1} over
-    the table, times exp(-lam * tail_mean) for the dropped factors."""
+    """E[e^{-lam T}] as 1 / prod_n (1 + 2 lam / j_n^2), the transform of
+    T = sum_n 2 E_n / j_n^2: a route independent of `hitting_time_lt`,
+    over the model's 256 zeros and the third-order zero tail that
+    `hadamard_cf` uses too."""
     if lam < 0.0:
         raise ValueError(f"need lam >= 0, got {lam!r}")
-    log_acc = 0.0
-    for z in model.zeros.zeros:
-        log_acc -= math.log1p(2.0 * lam / (z * z))
-    return math.exp(log_acc - lam * model.tail_mean)
+    return math.exp(-_log_zero_product(model.zeros, 2.0 * lam)[0])
 
 
 def hadamard_cf(model: PowerSemicircle, z: float, truncation: int = 200,
                 axis: str = "real") -> float:
-    """Product over the first N squared zeros with a tail correction.
+    """The cf as its Hadamard product over the zeros of J_alpha: the first
+    `truncation` zeros and the third-order zero tail that
+    `hitting_time_lt_product` uses too.
 
     axis="real" evaluates prod (1 - z^2/j^2); axis="imag" evaluates the
     product at the purely imaginary point i*z, i.e. prod (1 + z^2/j^2).
-    The dropped factors contribute sum_{n>N} log(1 + y/j_n^2) with
-    y = -+ z^2, expanded through third order: the leading sum comes from
-    the transform-derivative identity, the higher two from tail power
-    sums of the zero table.
     """
     if axis not in ("real", "imag"):
         raise ValueError(f"axis must be 'real' or 'imag', got {axis!r}")
-    table = bessel_zeros(model.alpha, truncation)
     y = -z * z if axis == "real" else z * z
-    log_prod = 0.0
-    negative = False
-    partial_s2 = 0.0
-    for j in table.zeros:
-        f = 1.0 + y / (j * j)
-        partial_s2 += 1.0 / (j * j)
-        if f <= 0.0:
-            negative = not negative if f < 0.0 else negative
-            if f == 0.0:
-                return 0.0
-            log_prod += math.log(-f)
-        else:
-            log_prod += math.log(f)
-    t1 = 0.5 * mean_hitting_time(model.alpha) - partial_s2
-    t2 = zero_tail_power_sum(table, 4)
-    t3 = zero_tail_power_sum(table, 6)
-    tail_log = y * t1 - 0.5 * y * y * t2 + (y ** 3) * t3 / 3.0
-    val = math.exp(log_prod + tail_log)
+    log_p, negative = _log_zero_product(bessel_zeros(model.alpha, truncation), y)
+    val = math.exp(log_p)
     return -val if negative else val
 
 

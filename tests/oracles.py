@@ -136,3 +136,20 @@ def theta_hitting_time_cdf(t, dps=40, terms=40):
         s = 2 * mp.fsum((-1) ** (n + 1) * mp.exp(-n * n * mp.pi ** 2 * t / 2)
                         for n in range(1, terms + 1))
         return f, s
+
+
+def mean_hitting_time_by_derivative(alpha, h=1e-3, dps=30):
+    """E[T] = -d/dlam E[exp(-lam T)] at lam = 0, by the five-point stencil
+    at step h on the closed-form transform
+    1 / (Gamma(alpha+1) (s/2)^-alpha I_alpha(s)), s = sqrt(2 lam),
+    continued to lam < 0 through J_alpha; the stencil's error is
+    O(h^4 E[T^5])."""
+    with mp.workdps(dps):
+        a, h = mp.mpf(alpha), mp.mpf(h)
+
+        def lt(lam):
+            s = mp.sqrt(2 * abs(lam))
+            bessel = mp.besseli if lam > 0 else mp.besselj
+            return 1 / (mp.gamma(a + 1) * (s / 2) ** (-a) * bessel(a, s))
+
+        return float(-(-lt(2 * h) + 8 * lt(h) - 8 * lt(-h) + lt(-2 * h)) / (12 * h))

@@ -246,6 +246,18 @@ class TestSampleCommands:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["vandantzig", "sample", "--alpha", "-0.7"],
+    ["gammatype", "quasilevy", "-a", "0", "-b", "1"],
+    ["sample", "ratio-product", "--spec-json", '{"a": [1'],
+], ids=["sample-alpha", "quasilevy-a", "spec-not-json"])
+def test_domain_error_exits_2_without_output(argv, tmp_path):
+    # the commands leave these errors to main's one mapping
+    out = tmp_path / "x.out"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_manifest_contents(tmp_path):
     out = tmp_path / "m.json"
     assert run(["verify", "appendix", "--which", "fresnel", "--out", str(out)]) == 0

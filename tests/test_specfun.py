@@ -324,15 +324,6 @@ def test_half_order_identity():
     assert worst <= 1e-12
 
 
-def test_bessel_order_type():
-    order = specfun.BesselOrder(1.5)
-    assert specfun.bessel_j(order, 2.0) == specfun.bessel_j(1.5, 2.0)
-    with pytest.raises(ValueError):
-        specfun.BesselOrder(float("nan"))
-    with pytest.raises(ValueError):
-        specfun.BesselOrder(-1.0)
-
-
 class TestZeros:
     def test_half_order_zeros_are_multiples_of_pi(self):
         table = specfun.bessel_zeros(0.5, 50)

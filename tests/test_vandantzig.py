@@ -133,29 +133,31 @@ class TestHittingTime:
         assert 0.0 < vd.hitting_time_lt(m, 0.5) <= 1.0
 
     def test_product_form_matches(self):
-        m = vd.HittingTimeModel.build(1.0, truncation=500)
+        for alpha in (0.0, 0.5, 1.0, 2.0, 3.0):
+            m = vd.HittingTimeModel.build(alpha)
+            for lam in np.linspace(0.0, 10.0, 41):
+                assert abs(vd.hitting_time_lt_product(m, lam)
+                           - vd.hitting_time_lt(m, lam)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 3.0])
+    def test_products_are_reciprocal(self, alpha):
+        # cf(i sqrt(2 lam)) and E[exp(-lam T)] are one product over the
+        # same 256 zeros, once in each direction
+        m = vd.HittingTimeModel.build(alpha)
         for lam in np.linspace(0.0, 10.0, 41):
-            assert abs(vd.hitting_time_lt_product(m, lam)
-                       - vd.hitting_time_lt(m, lam)) <= 1e-8
+            prod = vd.hadamard_cf(vd.PowerSemicircle(alpha), math.sqrt(2.0 * lam), 256,
+                                  "imag") * vd.hitting_time_lt_product(m, lam)
+            assert abs(prod - 1.0) <= 1e-14
 
     def test_mean_by_derivative(self):
-        # exact means are 1/(2(alpha+1)); the derivative route must land there
+        # Rayleigh's closed form against the derivative of the transform
         for alpha in (0.0, 0.5, 1.0, 3.0):
-            assert vd.mean_hitting_time(alpha) \
-                == pytest.approx(0.5 / (alpha + 1.0), abs=5e-12)
-
-    def test_tail_mean_nonnegative_and_shrinking(self):
-        m1 = vd.HittingTimeModel.build(1.0, truncation=64)
-        m2 = vd.HittingTimeModel.build(1.0, truncation=256)
-        assert m1.tail_mean >= 0.0
-        assert m2.tail_mean >= 0.0
-        assert m2.tail_mean < m1.tail_mean
+            assert vd.mean_hitting_time(alpha) == pytest.approx(
+                oracles.mean_hitting_time_by_derivative(alpha), abs=5e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
             vd.HittingTimeModel.build(-0.6)
-        with pytest.raises(ValueError):
-            vd.HittingTimeModel.build(1.0, truncation=10)
         m = vd.HittingTimeModel.build(1.0)
         with pytest.raises(ValueError):
             vd.hitting_time_lt(m, -1.0)
@@ -196,12 +198,6 @@ class TestSampling:
             [0.4038228140712607, 0.15963500459248153, 0.1912597935402794,
              0.18736457120203961, 0.10406811745654254, 0.2850310201147896,
              0.15987784365073995, 0.2535804043003257], rtol=1e-12)
-
-    def test_draws_do_not_depend_on_truncation(self):
-        short = vd.HittingTimeModel.build(1.0, truncation=50)
-        long = vd.HittingTimeModel.build(1.0, truncation=256)
-        for sampler in (vd.sample_hitting_time, vd.sample_subordinated):
-            assert np.array_equal(sampler(short, 3, 5000), sampler(long, 3, 5000))
 
     def test_independent_of_blas_threads(self):
         # the same seed gives the same bytes whatever the BLAS thread count
@@ -356,7 +352,7 @@ class TestQuantile:
         # J_{alpha+1} alternates in sign over consecutive zeros of J_alpha
         zeros = specfun.bessel_zeros(1.0, 64).zeros
         m = vd.HittingTimeModel(alpha=1.0, zeros=specfun.ZeroTable(1.0, zeros[1:]),
-                                truncation=63, tail_mean=0.0)
+                                tail_mean=0.0)
         with pytest.raises(ValueError, match="skips a zero"):
             m.spectral
 
