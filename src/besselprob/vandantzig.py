@@ -168,6 +168,15 @@ def hitting_time_lt_product(model: HittingTimeModel, lam: float) -> float:
     return math.exp(-_log_zero_product(model.zeros, 2.0 * lam)[0])
 
 
+@lru_cache(maxsize=64)
+def _zero_prefix(alpha: float, count: int) -> ZeroTable:
+    """The first `count` <= 256 zeros of J_alpha, read off the table of
+    `HittingTimeModel`: the finder's n-th zero depends on the earlier ones
+    only, so these are the zeros `bessel_zeros(alpha, count)` returns."""
+    full = bessel_zeros(alpha, _MODEL_ZEROS)
+    return ZeroTable(full.alpha, full.zeros[:count])
+
+
 def hadamard_cf(model: PowerSemicircle, z: float, truncation: int = 200,
                 axis: str = "real") -> float:
     """The cf as its Hadamard product over the zeros of J_alpha: the first
@@ -176,11 +185,14 @@ def hadamard_cf(model: PowerSemicircle, z: float, truncation: int = 200,
 
     axis="real" evaluates prod (1 - z^2/j^2); axis="imag" evaluates the
     product at the purely imaginary point i*z, i.e. prod (1 + z^2/j^2).
+    Up to 256 zeros come from `_zero_prefix`.
     """
     if axis not in ("real", "imag"):
         raise ValueError(f"axis must be 'real' or 'imag', got {axis!r}")
     y = -z * z if axis == "real" else z * z
-    log_p, negative = _log_zero_product(bessel_zeros(model.alpha, truncation), y)
+    table = (_zero_prefix(model.alpha, truncation) if 1 <= truncation <= _MODEL_ZEROS
+             else bessel_zeros(model.alpha, truncation))
+    log_p, negative = _log_zero_product(table, y)
     val = math.exp(log_p)
     return -val if negative else val
 
@@ -193,8 +205,8 @@ def hadamard_cf(model: PowerSemicircle, z: float, truncation: int = 200,
 _EPS = 2.0 ** -52
 _TERM_ZEROS = 64           # zeros from which the table picks its terms
 _LEFT_NOISE = 1e-3         # rounding of S allowed at t_c, relative to F(t_c)
-_TABLE_POINTS = 512
-_NEWTON_STEPS = 2
+_TABLE_POINTS = 2048
+_MIDPOINT_SAFETY = 2.0     # ks_bound's factor on the largest midpoint error
 _LEFT_STEPS = 4
 _EXP_FLOOR = -700.0        # exp below this underflows; numpy's exp is ~20x
                            # slower there, and such terms are below 1e-280
@@ -207,20 +219,30 @@ class SpectralTable:
 
     `half_j2` (j_n^2 / 2) and `weights` (w_n) hold the N terms of
     S(t) = P(T > t) that matter from `t_c` on.  `log_t` is a geometric grid
-    on [t_c, t_r] and `logit` holds log F - log S there (F = 1 - S); past
-    t_r the first term alone is S to rounding.  Below `t_c` the series
+    of 2048 points x = log t on [t_c, t_r], `logit` holds y = log F - log S
+    there (F = 1 - S) and `slope` holds dx/dy = F S / (t f), f the density;
+    between nodes the inverse is the cubic Hermite interpolant of these.
+    Past t_r the first term alone is S to rounding.  Below `t_c` the series
     cancels in double precision, and F is the leading small-time term
-    t^-alpha exp(-1 / (2 t)) scaled to equal F at t_c.  `ks_bound` is
-    F(t_c): the sampled law's CDF differs from T's by at most that much.
+    t^-alpha exp(-1 / (2 t)) scaled to equal `f_c` = F(t_c) at t_c.
+    `ks_bound` is F(t_c) plus twice the largest |F(t(u)) - u| at the
+    cells' midpoints, where the Hermite error peaks: the sampled law's CDF
+    differs from T's by at most that much.  `guide[b]` counts the nodes
+    below logit[0] + (b - 1) `guide_step`, the narrowest cell's width, so
+    that a value's cell takes three compares rather than a binary search.
     """
 
     alpha: float
     half_j2: np.ndarray
     weights: np.ndarray
     t_c: float
+    f_c: float
     ks_bound: float
     log_t: np.ndarray
     logit: np.ndarray
+    slope: np.ndarray
+    guide: np.ndarray
+    guide_step: float
 
 
 def _series(half_j2: np.ndarray, weights: np.ndarray, t: np.ndarray):
@@ -270,11 +292,57 @@ def _spectral_table(zeros: ZeroTable) -> SpectralTable:
 
     half_j2, w = half_j2[:n], w[:n]
     log_t = np.linspace(math.log(t_c), math.log(t_r), _TABLE_POINTS)
-    s, _ = _series(half_j2, w, np.exp(log_t))
+    t = np.exp(log_t)
+    s, f = _series(half_j2, w, t)
+    big_f = 1.0 - s
+    logit = np.log(big_f) - np.log(s)
+    slope = big_f * s / (t * f)
+    err = _midpoint_error(half_j2, w, log_t, logit, slope)
+    step = float(np.min(np.diff(logit)))
+    edges = logit[0] + step * (np.arange(int((logit[-1] - logit[0]) / step) + 2) - 1.0)
     # t_c and F(t_c) as the table holds them, so the two routes meet there
-    return SpectralTable(alpha=alpha, half_j2=half_j2, weights=w,
-                         t_c=float(np.exp(log_t[0])), ks_bound=float(1.0 - s[0]),
-                         log_t=log_t, logit=np.log(1.0 - s) - np.log(s))
+    return SpectralTable(alpha=alpha, half_j2=half_j2, weights=w, t_c=float(t[0]),
+                         f_c=float(big_f[0]),
+                         ks_bound=float(big_f[0]) + _MIDPOINT_SAFETY * err,
+                         log_t=log_t, logit=logit, slope=slope,
+                         guide=np.searchsorted(logit, edges), guide_step=step)
+
+
+def _cell(table: SpectralTable, y: np.ndarray) -> np.ndarray:
+    """np.searchsorted(table.logit, y) clipped to [1, N - 1], without the
+    binary search's mispredicted branches.  y lies in guide bin b or next
+    to it, the three bins from b - 1 on hold at most three nodes, and each
+    step passes one node below y."""
+    last = table.logit.size - 1
+    b = ((y - table.logit[0]) / table.guide_step).astype(np.intp)
+    k = table.guide[np.clip(b, 0, table.guide.size - 1)]
+    for _ in range(3):
+        k += table.logit[np.minimum(k, last)] < y
+    return np.clip(k, 1, last)
+
+
+def _hermite(x: np.ndarray, y: np.ndarray, slope: np.ndarray, k: np.ndarray,
+             at: np.ndarray) -> np.ndarray:
+    """The cubic Hermite interpolant through (y_j, x_j) with dx/dy =
+    slope_j, at each element of `at` on the cell from y_{k-1} to y_k; the
+    end cells extend past y_0 and y_last."""
+    x0, y0, m0, m1 = x[k - 1], y[k - 1], slope[k - 1], slope[k]
+    h = y[k] - y0
+    chord = (x[k] - x0) / h
+    d = at - y0
+    r = d / h
+    return x0 + d * (m0 + r * ((3.0 * chord - 2.0 * m0 - m1)
+                               + r * (m0 + m1 - 2.0 * chord)))
+
+
+def _midpoint_error(half_j2: np.ndarray, weights: np.ndarray, log_t: np.ndarray,
+                    logit: np.ndarray, slope: np.ndarray) -> float:
+    """max |F(t) - u| over the cell midpoints y of the table, t the Hermite
+    inverse there and u = 1 / (1 + e^-y)."""
+    y = 0.5 * (logit[:-1] + logit[1:])
+    x = _hermite(log_t, logit, slope, np.arange(1, logit.size), y)
+    s, _ = _series(half_j2, weights, np.exp(x))
+    return float(np.max(np.abs((1.0 - s) - 1.0 / (1.0 + np.exp(-y)))))
 
 
 def _left_tail(table: SpectralTable, u: np.ndarray) -> np.ndarray:
@@ -283,7 +351,7 @@ def _left_tail(table: SpectralTable, u: np.ndarray) -> np.ndarray:
     h(s) = (s - s_c) / 2 - alpha log(s / s_c) - log(F(t_c) / u), which is
     monotone for s > 2 alpha (the table guarantees s_c > 2 alpha)."""
     alpha, s_c = table.alpha, 1.0 / table.t_c
-    r = np.log(table.ks_bound / np.maximum(u, _U_FLOOR))
+    r = np.log(table.f_c / np.maximum(u, _U_FLOOR))
     s = s_c + 2.0 * r
     for _ in range(_LEFT_STEPS):
         s -= (0.5 * (s - s_c) - alpha * np.log(s / s_c) - r) / (0.5 - alpha / s)
@@ -291,26 +359,18 @@ def _left_tail(table: SpectralTable, u: np.ndarray) -> np.ndarray:
 
 
 def _quantile(table: SpectralTable, u: np.ndarray) -> np.ndarray:
-    """Element-wise inverse of F: each output depends on its own u only."""
+    """Element-wise inverse of F by table lookup alone: each output depends
+    on its own u only."""
     t = np.empty_like(u)
-    left = u < table.ks_bound
+    left = u < table.f_c
     t[left] = _left_tail(table, u[left])
     um = u[~left]
     y = np.log(um) - np.log1p(-um)
-    k = np.searchsorted(table.logit, y)
-    past = k == _TABLE_POINTS
-    k = np.clip(k, 1, _TABLE_POINTS - 1)
-    x0, y0 = table.log_t[k - 1], table.logit[k - 1]
-    x = x0 + (y - y0) * (table.log_t[k] - x0) / (table.logit[k] - y0)
+    x = _hermite(table.log_t, table.logit, table.slope, _cell(table, y), y)
+    past = y > table.logit[-1]
     # past the table S is its first term: w_1 exp(-j_1^2 t / 2) = 1 - u
     x[past] = np.log((math.log(table.weights[0]) - np.log1p(-um[past]))
                      / table.half_j2[0])
-    for _ in range(_NEWTON_STEPS):
-        # Newton on log F - log S = y in x = log t
-        tx = np.exp(x)
-        s, f = _series(table.half_j2, table.weights, tx)
-        big_f = 1.0 - s
-        x -= (np.log(big_f) - np.log(s) - y) * big_f * s / (tx * f)
     t[~left] = np.exp(x)
     return t
 
@@ -318,12 +378,13 @@ def _quantile(table: SpectralTable, u: np.ndarray) -> np.ndarray:
 def hitting_time_quantile(model: HittingTimeModel, u) -> np.ndarray:
     """T's inverse CDF at each element of u in [0, 1), as an array.
 
-    Two Newton steps on the spectral series from a start read off
-    `model.spectral`; below F(t_c) the inverse of the small-time term
-    (u below 2^-54, 0 included, maps to the point of 2^-54).  The sup-norm CDF error is at
-    most `model.spectral.ks_bound`.  For u > 1/2 the survival value meets
-    1 - u to about 1e-14 relative at alpha <= 2; at larger alpha the
-    accuracy of the zeros and of J_{alpha+1} there limits it."""
+    The cubic Hermite inverse of `model.spectral`'s 2048-point table, with
+    no step on the series; past t_r the inverse of the series' first term,
+    below F(t_c) that of the small-time term (u below 2^-54, 0 included,
+    maps to the point of 2^-54).  The sup-norm CDF error is at most
+    `model.spectral.ks_bound`.  For u > 1/2 the survival value meets 1 - u
+    to about 1e-11 relative; at large alpha the accuracy of the zeros and
+    of J_{alpha+1} there limits it too."""
     u = np.array(u, dtype=float, ndmin=1)
     if not np.all((u >= 0.0) & (u < 1.0)):
         raise ValueError("u must lie in [0, 1)")

@@ -124,6 +124,33 @@ def hitting_time_cdf(alpha, t, zeros, dps=40):
         return 1 - s, s
 
 
+def hitting_time_inverse(alpha, us, zeros, starts, dps=40):
+    """(t, f) with F(t) = u at each u, F the spectral series of
+    `hitting_time_cdf` at `dps` digits and f = F' its density there: Newton
+    on F(t) - u in t from each start until the step is below 1e-30
+    relative.  F is strictly increasing, so the root does not depend on
+    the start, which only needs to be close enough for Newton to settle;
+    mpf values."""
+    with mp.workdps(dps):
+        a = mp.mpf(alpha)
+        norm = 2 ** a * mp.gamma(a + 1)
+        terms = [(j * j / 2, 2 * j ** (a - 1) / (norm * mp.besselj(a + 1, j))) for j in zeros]
+        out = []
+        for u, t in zip(us, starts):
+            u, t = mp.mpf(u), mp.mpf(t)
+            for _ in range(60):
+                e = [(h, w * mp.exp(-h * t)) for h, w in terms]
+                f = mp.fsum(h * x for h, x in e)
+                step = (1 - mp.fsum(x for _, x in e) - u) / f
+                t -= step
+                if abs(step) <= mp.mpf(10) ** -30 * t:
+                    break
+            else:
+                raise AssertionError(f"no convergence at u = {u}")
+            out.append((t, f))
+        return out
+
+
 def theta_hitting_time_cdf(t, dps=40, terms=40):
     """(F, S) at alpha = 1/2, where T is the hitting time of 1 by a
     three-dimensional Bessel process, from the two Jacobi-theta forms:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -108,6 +109,20 @@ class TestHadamard:
                 <= 1e-8 * max(1.0, abs(ref_r))
             assert abs(vd.hadamard_cf(m, z, 200, "imag") - ref_i) \
                 <= 1e-8 * max(1.0, abs(ref_i))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 3.0])
+    def test_model_table_prefix_changes_no_bit(self, alpha):
+        # up to 256 zeros are read off the model's table; the value is the
+        # product over a table built for `truncation` zeros alone
+        m = vd.PowerSemicircle(alpha)
+        for n in (50, 200):
+            own = specfun.bessel_zeros(alpha, n)
+            assert specfun.bessel_zeros(alpha, 256).zeros[:n] == own.zeros
+            for z in np.linspace(0.25, 10.0, 40):
+                for axis, y in (("real", -z * z), ("imag", z * z)):
+                    log_p, negative = vd._log_zero_product(own, y)
+                    want = -math.exp(log_p) if negative else math.exp(log_p)
+                    assert vd.hadamard_cf(m, z, n, axis) == want
 
     def test_axis_validation(self):
         with pytest.raises(ValueError):
@@ -259,9 +274,13 @@ class TestSampling:
 CDF_U = (0.0, 2.0 ** -53, 1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0 - 2.0 ** -53)
 
 
-def _spectral_oracle(alpha, count):
+def _oracle_zeros(alpha, count):
     near = specfun.bessel_zeros(alpha, count).zeros
-    zeros = [oracles.bessel_j_zero(alpha, k + 1, near[k]) for k in range(count)]
+    return [oracles.bessel_j_zero(alpha, k + 1, near[k]) for k in range(count)]
+
+
+def _spectral_oracle(alpha, count):
+    zeros = _oracle_zeros(alpha, count)
     return lambda t: oracles.hitting_time_cdf(alpha, t, zeros)
 
 
@@ -297,6 +316,69 @@ class TestQuantile:
         us = np.concatenate([CDF_U, np.geomspace(m.spectral.ks_bound / 10, 0.999, 12)])
         ks, _ = self._cdf_errors(m, _spectral_oracle(alpha, 90), us)
         assert ks.max() <= m.spectral.ks_bound
+
+    @pytest.mark.parametrize("alpha,count", [(0.0, 60), (1.0, 60), (2.0, 60), (7.3, 90)])
+    def test_against_mpmath_inverse(self, alpha, count):
+        # the reference is the root of the 40-digit series, so it shares
+        # no double-precision step with the sampler
+        m = vd.HittingTimeModel.build(alpha)
+        tab = m.spectral
+        us = np.concatenate([np.geomspace(tab.f_c, 0.5, 100),
+                             1.0 - np.geomspace(0.5, 1e-15, 100)])
+        t = vd.hitting_time_quantile(m, us)
+        ref = oracles.hitting_time_inverse(alpha, us, _oracle_zeros(alpha, count), t)
+        # the CDF error f |t - t_ref| to first order, and for u > 1/2 the
+        # survival error relative to 1 - u
+        d_f = np.array([float(f * abs(oracles.mp.mpf(float(x)) - r))
+                        for x, (r, f) in zip(t, ref)])
+        assert d_f.max() <= tab.ks_bound
+        hi = us > 0.5
+        assert np.max(d_f[hi] / (1.0 - us[hi])) <= 1e-10
+
+    def test_chord_slopes_break_the_bound(self):
+        # one-sided chord slopes make each cell about linear: the midpoint
+        # term must see the larger error, which then leaves F(t_c) (the
+        # bound without that term) behind but stays inside the new bound
+        tab = vd.HittingTimeModel.build(0.0).spectral
+        chord = np.diff(tab.log_t) / np.diff(tab.logit)
+        chord = np.append(chord, chord[-1])
+        assert tab.ks_bound == tab.f_c + vd._MIDPOINT_SAFETY * vd._midpoint_error(
+            tab.half_j2, tab.weights, tab.log_t, tab.logit, tab.slope)
+        err = vd._midpoint_error(tab.half_j2, tab.weights, tab.log_t, tab.logit, chord)
+        assert err > tab.f_c
+        bad = dataclasses.replace(tab, slope=chord,
+                                  ks_bound=tab.f_c + vd._MIDPOINT_SAFETY * err)
+        y = 0.5 * (tab.logit[:-1] + tab.logit[1:])[::128]
+        us = 1.0 / (1.0 + np.exp(-y))
+        cdf = _spectral_oracle(0.0, 60)
+
+        def ks(table):
+            return max(float(abs(cdf(float(t))[0] - u))
+                       for u, t in zip(us, vd._quantile(table, us)))
+
+        assert tab.f_c < ks(bad) <= bad.ks_bound
+        assert ks(tab) <= tab.ks_bound
+
+    @pytest.mark.parametrize("alpha", [-0.45, 0.0, 2.0, 7.3, 30.0])
+    def test_monotone_across_cells_and_switches(self, alpha):
+        tab = vd.HittingTimeModel.build(alpha).spectral
+        # four points in every cell, in y = log F - log S
+        y = (tab.logit[:-1, None] + np.diff(tab.logit)[:, None] * np.arange(4) / 4).ravel()
+        s_r = 1.0 / (1.0 + math.exp(tab.logit[-1]))
+        steps = np.concatenate([np.arange(-20, 0), np.arange(1, 21)])
+        u = np.concatenate([
+            1.0 / (1.0 + np.exp(-y)),
+            tab.f_c * (1.0 + 1e-9 * steps),      # across the left-tail switch
+            1.0 - s_r * (1.0 + 1e-6 * steps),    # across t_r, where u < 1 reaches it
+            1.0 - 2.0 ** -53 * np.arange(1, 64)])
+        u = np.unique(u[u < 1.0])
+        t = vd._quantile(tab, u)
+        assert np.all(np.diff(t) > 0.0)
+        # the guide finds the cell a binary search finds, also next to nodes
+        y = np.concatenate([y, np.log(u) - np.log1p(-u), tab.logit,
+                            np.nextafter(tab.logit, -np.inf), np.nextafter(tab.logit, np.inf)])
+        assert np.array_equal(vd._cell(tab, y),
+                              np.clip(np.searchsorted(tab.logit, y), 1, tab.logit.size - 1))
 
     @pytest.mark.parametrize("alpha", [-0.45, 0.0, 2.0, 30.0])
     def test_draws_finite_and_positive(self, alpha):
