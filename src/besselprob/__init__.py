@@ -4,14 +4,13 @@ hitting times, and existence analysis for Mellin transforms of Gamma type.
 """
 
 from .backend import BACKEND_NAME
-from .errors import AccuracyError, BracketError, DivergenceError
+from .errors import AccuracyError, DivergenceError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND_NAME",
     "AccuracyError",
-    "BracketError",
     "DivergenceError",
     "__version__",
 ]

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Domain violations raise plain ValueError; range/overflow conditions raise
-OverflowError.  The two classes below carry diagnostic payloads that plain
-exceptions cannot.
+OverflowError.  The two classes below name numerical failures that plain
+exceptions cannot: `AccuracyError` carries the value and the bound it
+achieved, and `DivergenceError` marks an integrand that grows without bound.
 """
 
 from __future__ import annotations
@@ -20,7 +21,3 @@ class AccuracyError(ArithmeticError):
 class DivergenceError(ArithmeticError):
     """Quadrature detected an integrand growing without bound under
     refinement."""
-
-
-class BracketError(RuntimeError):
-    """A root or zero could not be bracketed; carries search diagnostics."""

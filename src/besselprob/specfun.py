@@ -16,7 +16,7 @@ import numpy as np
 
 from . import backend
 from ._kernels_py import _LANCZOS_C, _LANCZOS_G
-from .errors import AccuracyError, BracketError
+from .errors import AccuracyError
 
 __all__ = [
     "ZeroTable",
@@ -134,32 +134,8 @@ def _mcmahon_guess(alpha: float, n: int) -> float:
     )
 
 
-def _bracket_zero(alpha: float, lo: float, hi: float, guess: float):
-    """Expand around `guess` inside (lo, hi) until J changes sign."""
-    f = lambda x: backend.bessel_j(alpha, x)
-    width = 0.05 * (hi - lo) if hi < math.inf else 0.35
-    a = max(guess - width, lo + 1e-12)
-    b = min(guess + width, hi - 1e-12) if hi < math.inf else guess + width
-    fa, fb = f(a), f(b)
-    for _ in range(60):
-        if fa == 0.0:
-            return a, a, fa
-        if fb == 0.0:
-            return b, b, fb
-        if fa * fb < 0.0:
-            return a, b, fa
-        a = max(lo + 1e-12, a - width)
-        b = b + width if hi == math.inf else min(hi - 1e-12, b + width)
-        fa, fb = f(a), f(b)
-        width *= 1.6
-    raise BracketError(f"could not bracket zero near {guess} for alpha={alpha}")
-
-
-def _refine_zero(alpha: float, a: float, b: float, fa: float) -> float:
-    """Newton inside a maintained sign bracket, bisection fallback."""
-    if a == b:
-        return a
-    x = 0.5 * (a + b)
+def _refine_zero(alpha: float, a: float, b: float, fa: float, x: float) -> float:
+    """Newton from `x` inside a maintained sign bracket, bisection fallback."""
     for _ in range(100):
         fx = backend.bessel_j(alpha, x)
         if fx == 0.0:
@@ -183,36 +159,56 @@ def _refine_zero(alpha: float, a: float, b: float, fa: float) -> float:
     return x
 
 
+# Grid step of the zero walk: zeros of J_alpha are more than 3.11 apart for
+# every alpha > -1 (the least gap is j_2 - j_1 = 3.114 near alpha = -0.11),
+# so a cell 0.9 pi = 2.83 wide holds at most one zero.
+_ZERO_STEP = 0.9 * math.pi
+
+
 @lru_cache(maxsize=128)
 def bessel_zeros(alpha: float, count: int) -> ZeroTable:
     """First `count` positive zeros of J_alpha.
 
-    McMahon-type initial guesses refined by safeguarded Newton using
-    J' = (J_{alpha-1} - J_{alpha+1})/2 inside a sign bracket; a zero is
-    accepted as x - dx once the Newton step |dx| <= 5e-16 x, usually after
-    three or four J evaluations.  A step that leaves the bracket is
-    replaced by bisection.  The zeros are as accurate as `bessel_j` near
-    them: a few ulps from one unit past `j_crossover`, up to ~1e-12
-    relative below it.  Tables depend only on (alpha, count) and are
-    cached: repeated calls return the same table.
+    Walks the grid x_k = lo + k * `_ZERO_STEP`, k = 1, 2, ..., from
+    lo = sqrt(alpha (alpha + 2)) for alpha > 0 and lo = 0 otherwise.
+    Since j_1 > lo (Watson, section 15.3), J_alpha > 0 on (lo, j_1), and
+    the walk counts the sign at lo as positive.  A cell is narrower than
+    any gap between zeros, so each sign change between grid points is one
+    zero, and a grid point where J is exactly 0.0 is that zero.  Each sign
+    change is refined by safeguarded Newton using
+    J' = (J_{alpha-1} - J_{alpha+1})/2 inside its cell, started at
+    McMahon's asymptotic guess when that lies in the cell and at the
+    cell's midpoint otherwise; a step that leaves the bracket is replaced
+    by bisection.  A zero is accepted as x - dx once the Newton step
+    |dx| <= 5e-16 x, usually after one to three J evaluations.  The zeros
+    are as accurate as `bessel_j` near them: a few ulps from one unit past
+    `j_crossover`, up to ~1e-12 relative below it.  The grid depends on
+    alpha alone, so the n-th zero does not depend on `count`.  Tables
+    depend only on (alpha, count) and are cached: repeated calls return
+    the same table.
     """
     alpha = float(alpha)
     if math.isnan(alpha) or not alpha > -1.0:
         raise ValueError(f"need alpha > -1, got {alpha!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
+    lo = math.sqrt(alpha * (alpha + 2.0)) if alpha > 0.0 else 0.0
     zeros = []
-    prev = 0.0
-    for n in range(1, count + 1):
-        guess = _mcmahon_guess(alpha, n)
-        if guess <= prev:
-            guess = prev + 1.5
-        a, b, fa = _bracket_zero(alpha, prev, math.inf, guess)
-        z = _refine_zero(alpha, a, b, fa)
-        if z <= prev:
-            raise BracketError(f"zero ordering broke at n={n} for alpha={alpha}")
-        zeros.append(z)
-        prev = z
+    a, fa = lo, 1.0
+    k = 0
+    while len(zeros) < count:
+        k += 1
+        b = lo + k * _ZERO_STEP
+        fb = backend.bessel_j(alpha, b)
+        if fb == 0.0:
+            # the next zero is more than a step past b, so the next cell,
+            # where fa = 0 shows no sign change, holds none
+            zeros.append(b)
+        elif fa * fb < 0.0:
+            guess = _mcmahon_guess(alpha, len(zeros) + 1)
+            start = guess if a < guess < b else 0.5 * (a + b)
+            zeros.append(_refine_zero(alpha, a, b, fa, start))
+        a, fa = b, fb
     return ZeroTable(alpha=alpha, zeros=tuple(zeros))
 
 

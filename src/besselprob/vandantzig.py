@@ -171,8 +171,8 @@ def hitting_time_lt_product(model: HittingTimeModel, lam: float) -> float:
 @lru_cache(maxsize=64)
 def _zero_prefix(alpha: float, count: int) -> ZeroTable:
     """The first `count` <= 256 zeros of J_alpha, read off the table of
-    `HittingTimeModel`: the finder's n-th zero depends on the earlier ones
-    only, so these are the zeros `bessel_zeros(alpha, count)` returns."""
+    `HittingTimeModel`: the finder's n-th zero depends on its own grid
+    cell only, so these are the zeros `bessel_zeros(alpha, count)` returns."""
     full = bessel_zeros(alpha, _MODEL_ZEROS)
     return ZeroTable(full.alpha, full.zeros[:count])
 

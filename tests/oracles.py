@@ -5,6 +5,8 @@ high-precision arithmetic, deliberately sharing no code with the library
 paths under test.
 """
 
+from functools import lru_cache
+
 import mpmath as mp
 
 
@@ -110,17 +112,28 @@ def bessel_j_zero(alpha, k, near, dps=40):
         return mp.findroot(lambda z: mp.besselj(alpha, z), mp.mpf(near))
 
 
+@lru_cache(maxsize=32)
+def _spectral_weights(alpha, zeros, dps):
+    """w_n = 2 j_n^(alpha-1) / (2^alpha Gamma(alpha+1) J_{alpha+1}(j_n)) for
+    each of the (mpf) zeros at `dps` digits, computed once per
+    (alpha, zeros, dps): the 40-digit J_{alpha+1} dominates the series'
+    cost."""
+    with mp.workdps(dps):
+        a = mp.mpf(alpha)
+        norm = 2 ** a * mp.gamma(a + 1)
+        return tuple(2 * j ** (a - 1) / (norm * mp.besselj(a + 1, j)) for j in zeros)
+
+
 def hitting_time_cdf(alpha, t, zeros, dps=40):
     """(F, S) = (P(T <= t), P(T > t)) for T the hitting time of the
     index-alpha Bessel process, from the spectral series
-    S(t) = sum_n w_n exp(-j_n^2 t / 2),
-    w_n = 2 j_n^(alpha-1) / (2^alpha Gamma(alpha+1) J_{alpha+1}(j_n)),
+    S(t) = sum_n w_n exp(-j_n^2 t / 2) (weights from `_spectral_weights`),
     summed over the given zeros at `dps` digits; mpf values."""
+    zeros = tuple(zeros)
+    weights = _spectral_weights(alpha, zeros, dps)
     with mp.workdps(dps):
-        a, t = mp.mpf(alpha), mp.mpf(t)
-        norm = 2 ** a * mp.gamma(a + 1)
-        s = mp.fsum(2 * j ** (a - 1) / (norm * mp.besselj(a + 1, j)) * mp.exp(-j * j * t / 2)
-                    for j in zeros)
+        t = mp.mpf(t)
+        s = mp.fsum(w * mp.exp(-j * j * t / 2) for j, w in zip(zeros, weights))
         return 1 - s, s
 
 
@@ -131,10 +144,10 @@ def hitting_time_inverse(alpha, us, zeros, starts, dps=40):
     relative.  F is strictly increasing, so the root does not depend on
     the start, which only needs to be close enough for Newton to settle;
     mpf values."""
+    zeros = tuple(zeros)
+    weights = _spectral_weights(alpha, zeros, dps)
     with mp.workdps(dps):
-        a = mp.mpf(alpha)
-        norm = 2 ** a * mp.gamma(a + 1)
-        terms = [(j * j / 2, 2 * j ** (a - 1) / (norm * mp.besselj(a + 1, j))) for j in zeros]
+        terms = [(j * j / 2, w) for j, w in zip(zeros, weights)]
         out = []
         for u, t in zip(us, starts):
             u, t = mp.mpf(u), mp.mpf(t)

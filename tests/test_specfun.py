@@ -380,6 +380,34 @@ class TestZeros:
             if z >= crossover + 1.0:
                 assert err <= 16 * math.ulp(z), (alpha, k, z)
 
+    @pytest.mark.parametrize("alpha", [53.0, 55.0, 60.0, 90.0, 150.0])
+    def test_large_order_zeros_against_mpmath(self, alpha):
+        # McMahon's guess at n = 1 lies past j_1 from alpha ~ 53 on; the grid
+        # walk from sqrt(alpha (alpha + 2)) < j_1 must not skip it
+        zeros = specfun.bessel_zeros.__wrapped__(alpha, 16).zeros
+        for k, z in enumerate(zeros, start=1):
+            ref = oracles.bessel_j_zero(alpha, k, z)
+            assert float(abs(z - ref)) <= 1e-12 * z, (alpha, k, z, float(ref))
+
+    def test_grid_point_at_an_exact_zero(self, monkeypatch):
+        # a grid value of exactly 0.0 is a zero: it is returned once, and
+        # the walk goes on to the next sign changes and ends
+        lo = math.sqrt(0.5 * 2.5)
+        g = lo + specfun._ZERO_STEP
+        calls = [0]
+
+        def fake_j(a, x):
+            calls[0] += 1
+            assert calls[0] < 1000, "the zero walk does not end"
+            return 0.0 if x == g else math.sin(math.pi * x / g)
+
+        monkeypatch.setattr(backend, "bessel_j", fake_j)
+        monkeypatch.setattr(backend, "bessel_j_prime",
+                            lambda a, x: math.pi / g * math.cos(math.pi * x / g))
+        zeros = specfun.bessel_zeros.__wrapped__(0.5, 3).zeros
+        assert zeros[0] == g
+        assert zeros[1:] == pytest.approx([2.0 * g, 3.0 * g], rel=1e-14)
+
     def test_zero_table_validation(self):
         with pytest.raises(ValueError):
             specfun.ZeroTable(alpha=0.0, zeros=(2.0, 1.0))

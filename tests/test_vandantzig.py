@@ -242,6 +242,16 @@ class TestSampling:
         assert abs(ts.mean() - 1.0 / 3.0) <= 3.0 * se
         assert abs(ts.mean() - vd.mean_hitting_time(0.5)) <= 3.0 * se
 
+    def test_mean_at_large_order(self):
+        # from alpha ~ 53 a zero finder that trusts McMahon's guess skips
+        # j_1, and the spectral table rejects the table; Var T = 4 sum j^-4
+        # = 1 / (4 (alpha + 1)^2 (alpha + 2)) (Rayleigh)
+        alpha = 55.0
+        m = vd.HittingTimeModel(alpha, specfun.bessel_zeros(alpha, 64), 0.0)
+        ts = vd.sample_hitting_time(m, 5, 20_000)
+        se = math.sqrt(1.0 / (4.0 * (alpha + 1.0) ** 2 * (alpha + 2.0)) / len(ts))
+        assert abs(ts.mean() - 1.0 / 112.0) <= 6.0 * se
+
     def test_empirical_laplace_transform(self):
         m = vd.HittingTimeModel.build(1.0)
         ts = vd.sample_hitting_time(m, 13, 100_000)
