@@ -2,8 +2,9 @@
 
 The functions in `__all__` are the library's one kernel implementation;
 every module reaches them through `besselprob.backend`.  `bessel_j_array`
-is the array form of `bessel_j` and returns its values bit for bit.
-Everything here is pure and reentrant.
+is the array form of `bessel_j` and returns its values bit for bit;
+`ln_gamma_complex` works on complex arrays.  Everything here is pure and
+reentrant.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "ln_gamma",
+    "ln_gamma_complex",
     "bessel_j_normalized",
     "bessel_i_normalized",
     "digamma",
@@ -33,6 +35,7 @@ __all__ = [
 BACKEND_NAME = "python"
 
 _LN_SQRT_2PI = 0.9189385332046727417803297  # log sqrt(2*pi)
+_LN_PI = math.log(math.pi)
 
 # Lanczos coefficients, g = 7, 9 terms (double precision grade).
 _LANCZOS_G = 7.0
@@ -61,6 +64,36 @@ def ln_gamma(x: float) -> float:
         acc += _LANCZOS_C[k] / (x - 1.0 + k)
     t = x + _LANCZOS_G - 0.5
     return _LN_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(acc)
+
+
+def ln_gamma_complex(z) -> np.ndarray:
+    """log Gamma(z) elementwise for complex z off the poles: an array of
+    z's shape (a scalar z gives a 0-d array).
+
+    Re z >= 1/2 sums the Lanczos series of `ln_gamma`.  Re z < 1/2 uses
+    the reflection log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z)
+    (DLMF 5.5.3) with sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}) for
+    Im z >= 0 and the conjugate form below the axis, so the logarithm is
+    taken of factors that stay in the double range for every Im z.  There
+    the imaginary part may differ from the principal branch by a multiple
+    of 2 pi, which exp does not see.
+    """
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    left = flat.real < 0.5
+    w = np.where(left, 1.0 - flat, flat)
+    acc = np.full(w.shape, _LANCZOS_C[0], dtype=complex)
+    for k in range(1, 9):
+        acc += _LANCZOS_C[k] / (w - 1.0 + k)
+    t = w + _LANCZOS_G - 0.5
+    out = _LN_SQRT_2PI + (w - 0.5) * np.log(t) - t + np.log(acc)
+    if left.any():
+        zl = flat[left]
+        sgn = np.where(zl.imag < 0.0, -1.0, 1.0)
+        log_sin = (1j * sgn * (0.5 * math.pi - math.pi * zl) - math.log(2.0)
+                   + np.log1p(-np.exp(2j * math.pi * sgn * zl)))
+        out[left] = _LN_PI - log_sin - out[left]
+    return out.reshape(z.shape)
 
 
 # Asymptotic digamma below this threshold loses the ~1e-15 target.

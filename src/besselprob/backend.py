@@ -1,6 +1,7 @@
 """The kernels every module calls: the scalar log-gamma, digamma, Bessel
-J/I and 1F2 series kernels of `_kernels_py`, its array `bessel_j_array`,
-and the array inverse normal CDF of `_normal`.
+J/I and 1F2 series kernels of `_kernels_py`, its array `bessel_j_array`
+and complex `ln_gamma_complex`, and the array inverse normal CDF of
+`_normal`.
 
 Modules take their kernels from here rather than from `_kernels_py`, so
 that one binding site names each kernel: the benchmark's call counters
@@ -24,5 +25,6 @@ from ._kernels_py import (
     hyp1f2_series,
     j_crossover,
     ln_gamma,
+    ln_gamma_complex,
 )
 from ._normal import normal_inv_cdf

@@ -33,8 +33,6 @@ from .specfun import (
     hyp1f2_with_bound,
     ln_gamma,
     ln_gamma_complex,
-    ln_gamma_complex_array,
-    pochhammer_ratio,
 )
 
 __all__ = [
@@ -133,26 +131,31 @@ class ExistenceVerdict:
     def to_dict(self) -> dict:
         return {"state": self.state, "reason": self.reason, "witness": self.witness}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+
+def _log_symbol(spec: GammaRatioSpec, s, lg):
+    """log of (a)_s (b)_{-s} / ((c)_s (d)_{-s}) at s, with lg the log-Gamma
+    of the shifted arguments: `ln_gamma` for a real s, `ln_gamma_complex`
+    for complex s (a number or an array)."""
+    acc = 0.0
+    for sign, entries, shift in ((1.0, spec.a, s), (1.0, spec.b, -s),
+                                 (-1.0, spec.c, s), (-1.0, spec.d, -s)):
+        for x in entries:
+            acc += sign * (lg(x + shift) - ln_gamma(x))
+    return acc
 
 
 def mellin(spec: GammaRatioSpec, s: float) -> float:
-    """Moment value at s, strictly inside the strip."""
-    return pochhammer_ratio(spec, s)
+    """Moment value at s, strictly inside the strip; ValueError where s is
+    outside it or a denominator Gamma argument is not positive."""
+    lo, hi = spec.strip
+    if not (lo < s < hi):
+        raise ValueError(f"s={s} outside the Mellin strip ({lo}, {hi})")
+    return math.exp(_log_symbol(spec, s, ln_gamma))
 
 
 def mellin_complex(spec: GammaRatioSpec, s: complex) -> complex:
     """Analytic continuation of the symbol onto a vertical line."""
-    acc = 0j
-    for x in spec.a:
-        acc += ln_gamma_complex(x + s) - ln_gamma(x)
-    for x in spec.b:
-        acc += ln_gamma_complex(x - s) - ln_gamma(x)
-    for x in spec.c:
-        acc -= ln_gamma_complex(x + s) - ln_gamma(x)
-    for x in spec.d:
-        acc -= ln_gamma_complex(x - s) - ln_gamma(x)
+    acc = _log_symbol(spec, s, ln_gamma_complex)
     if acc.real > 700.0:
         raise OverflowError("Mellin symbol overflow on the line")
     return cmath.exp(acc)
@@ -239,12 +242,11 @@ def schur_check(a_set: Sequence[float], c_set: Sequence[float]):
 
 def malmsten_integrand(a_set: Sequence[float], c_set: Sequence[float],
                        x: float) -> float:
-    """(phi_a(x) - phi_c(x)) / (x (1 - e^{-x})) for x > 0 (matching set
-    sizes keep the x -> 0 limit finite when the sums match)."""
+    """(phi_a(x) - phi_c(x)) / (x (1 - e^{-x})) for x > 0, the jump
+    density of `lk_exponent`; its x -> 0 limit is finite only when the
+    sets have matching sizes and sums."""
     if not x > 0.0:
         raise ValueError(f"need x > 0, got {x!r}")
-    if len(a_set) != len(c_set):
-        raise ValueError("sets must have matching sizes")
     num = _phi(a_set, x) - _phi(c_set, x)
     return num / (x * (-math.expm1(-x)))
 
@@ -286,13 +288,10 @@ def lk_exponent(spec: GammaRatioSpec, s: float) -> float:
         raise ValueError(f"s={s} outside strip {spec.strip}")
     drift = sum(digamma(v) for v in spec.a) - sum(digamma(v) for v in spec.c)
     decay = min(spec.a + spec.c)
-
-    def weight(y: float) -> float:
-        return (_phi(spec.a, y) - _phi(spec.c, y)) / (y * (-math.expm1(-y)))
-
     # substitution x = -y turns the negative-axis integral into
     # (e^{-sy} - 1 + sy) against the reflected density
-    jump = _compensated_exponent_integral(weight, s, decay)
+    jump = _compensated_exponent_integral(
+        lambda y: malmsten_integrand(spec.a, spec.c, y), s, decay)
     return drift * s + jump
 
 
@@ -377,17 +376,11 @@ def quasi_levy_mellin(q: QuasiLevySpec, s: float) -> float:
     mellin(q.ratio_spec(), s) on the strip (-a, b)."""
     if not (-q.a < s < q.b):
         raise ValueError(f"s={s} outside (-{q.a}, {q.b})")
-
-    def weight_neg(y: float) -> float:
-        return (math.exp(-q.a * y) - math.exp(-q.c * y) - math.exp(-q.d * y)) \
-            / (y * (-math.expm1(-y)))
-
-    def weight_pos(y: float) -> float:
-        return math.exp(-q.b * y) / (y * (-math.expm1(-y)))
-
-    jump_neg = _compensated_exponent_integral(weight_neg, s, min(q.a, q.c, q.d))
+    jump_neg = _compensated_exponent_integral(
+        lambda y: quasi_levy_density(q, -y), s, min(q.a, q.c, q.d))
     # positive-axis part carries e^{+s y}; fold the sign into the helper
-    jump_pos = _compensated_exponent_integral(weight_pos, -s, q.b)
+    jump_pos = _compensated_exponent_integral(
+        lambda y: quasi_levy_density(q, y), -s, q.b)
     return math.exp(q.drift * s + jump_neg + jump_pos)
 
 
@@ -421,8 +414,7 @@ def extremal_moment_check(a: float, b: float, s: float):
     lc = math.log(2.0) + 0.5 * math.log(math.pi) + ln_gamma(2 * a + b) \
         + ln_gamma(a + 0.5) - ln_gamma(a) - ln_gamma(b)
     lhs = math.exp(lc) * ws.value
-    spec = GammaRatioSpec(a=(a,), b=(b,), c=(2 * a + b, a + 0.5))
-    rhs = mellin(spec, s)
+    rhs = mellin(QuasiLevySpec(a, b).ratio_spec(), s)
     return lhs, rhs
 
 
@@ -871,16 +863,7 @@ def density_via_inversion(spec: GammaRatioSpec, x: float,
     weights = np.tile(ws, npanels) * half
 
     zline = np.full(taus.shape, complex(line_sigma, 0.0)) + 1j * taus
-    log_sym = np.zeros(taus.shape, dtype=complex)
-    for v in spec.a:
-        log_sym += ln_gamma_complex_array(v + zline) - ln_gamma(v)
-    for v in spec.b:
-        log_sym += ln_gamma_complex_array(v - zline) - ln_gamma(v)
-    for v in spec.c:
-        log_sym -= ln_gamma_complex_array(v + zline) - ln_gamma(v)
-    for v in spec.d:
-        log_sym -= ln_gamma_complex_array(v - zline) - ln_gamma(v)
-    sym = np.exp(log_sym) - atom
+    sym = np.exp(_log_symbol(spec, zline, ln_gamma_complex)) - atom
     osc = np.exp(-1j * taus * math.log(x))
     acc = float(np.sum(weights * (sym * osc).real))
     return math.exp(-(line_sigma + 1.0) * math.log(x)) * acc / math.pi

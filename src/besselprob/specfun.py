@@ -1,5 +1,5 @@
-"""Scalar special-function kernels: gamma family, Bessel J/I, their zeros,
-Pochhammer ratios and the 1F2 hypergeometric evaluator.
+"""Scalar special-function kernels: gamma family (real, and complex on
+arrays), Bessel J/I, their zeros and the 1F2 hypergeometric evaluator.
 
 Every other module consumes these.  All functions are pure and thread-safe;
 the hot scalar loops are the kernels of `besselprob.backend`.
@@ -7,7 +7,6 @@ the hot scalar loops are the kernels of `besselprob.backend`.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -15,7 +14,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import backend
-from ._kernels_py import _LANCZOS_C, _LANCZOS_G
 from .errors import AccuracyError
 
 __all__ = [
@@ -36,10 +34,10 @@ __all__ = [
     "hyp1f2_with_bound",
     "F2TailProfile",
     "f2_tail_profile",
-    "pochhammer_ratio",
 ]
 
 ln_gamma = backend.ln_gamma
+ln_gamma_complex = backend.ln_gamma_complex
 digamma = backend.digamma
 bessel_j = backend.bessel_j
 bessel_i = backend.bessel_i
@@ -92,31 +90,6 @@ def rgamma(x: float) -> float:
         return 0.0
     s = math.sin(math.pi * x)
     return s * math.exp(ln_gamma(1.0 - x)) / math.pi
-
-
-def ln_gamma_complex(z: complex) -> complex:
-    """Principal-branch log Gamma for complex z off the poles."""
-    z = complex(z)
-    if z.real < 0.5:
-        return cmath.log(math.pi / cmath.sin(math.pi * z)) - ln_gamma_complex(1.0 - z)
-    acc = _LANCZOS_C[0] + 0j
-    for k in range(1, 9):
-        acc += _LANCZOS_C[k] / (z - 1.0 + k)
-    t = z + _LANCZOS_G - 0.5
-    return 0.9189385332046727417803297 + (z - 0.5) * cmath.log(t) - t + cmath.log(acc)
-
-
-def ln_gamma_complex_array(z):
-    """Vectorized ln_gamma_complex for ndarray input with Re(z) >= 0.5
-    (the Mellin-line use case keeps arguments right of the strip)."""
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.real < 0.5):
-        return np.array([ln_gamma_complex(v) for v in z.ravel()]).reshape(z.shape)
-    acc = np.full(z.shape, _LANCZOS_C[0], dtype=complex)
-    for k in range(1, 9):
-        acc += _LANCZOS_C[k] / (z - 1.0 + k)
-    t = z + _LANCZOS_G - 0.5
-    return 0.9189385332046727417803297 + (z - 0.5) * np.log(t) - t + np.log(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -224,38 +197,6 @@ def zero_tail_power_sum(table: ZeroTable, p: int) -> float:
     x = len(table) + 1 + 0.5 * table.alpha - 0.25
     s = x ** (1.0 - p) / (p - 1.0) + 0.5 * x ** (-p) + (p / 12.0) * x ** (-p - 1.0)
     return s / math.pi ** p
-
-
-# ---------------------------------------------------------------------------
-# Pochhammer ratios (Mellin symbols)
-
-
-def pochhammer_ratio(spec, s: float) -> float:
-    """exp of the signed log-Gamma sum for the four-set Mellin symbol.
-
-    `spec` provides sorted tuples a, b, c, d of positive reals (empty sets
-    contribute a factor 1 and min(empty) = inf for the strip).  Requires s
-    strictly inside (-min(a), min(b)) and every Gamma argument positive.
-    """
-    a, b, c, d = spec.a, spec.b, spec.c, spec.d
-    lo = -(a[0] if a else math.inf)
-    hi = b[0] if b else math.inf
-    if not (lo < s < hi):
-        raise ValueError(f"s={s} outside the Mellin strip ({lo}, {hi})")
-    acc = 0.0
-    for x in a:
-        acc += ln_gamma(x + s) - ln_gamma(x)
-    for x in b:
-        acc += ln_gamma(x - s) - ln_gamma(x)
-    for x in c:
-        if x + s <= 0.0:
-            raise ValueError(f"Gamma argument {x}+{s} <= 0 in denominator")
-        acc -= ln_gamma(x + s) - ln_gamma(x)
-    for x in d:
-        if x - s <= 0.0:
-            raise ValueError(f"Gamma argument {x}-{s} <= 0 in denominator")
-        acc -= ln_gamma(x - s) - ln_gamma(x)
-    return math.exp(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ van Dantzig pair.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -120,12 +119,12 @@ class HittingTimeModel:
 
 
 def hitting_time_lt(model, lam: float) -> float:
-    """E[e^{-lam T}] via the closed modified-Bessel form; in (0, 1] for
-    lam >= 0."""
+    """E[e^{-lam T}] via the closed modified-Bessel form, for the index
+    `model.alpha` (a `HittingTimeModel` or a `PowerSemicircle`); in (0, 1]
+    for lam >= 0."""
     if lam < 0.0:
         raise ValueError(f"need lam >= 0, got {lam!r}")
-    alpha = model.alpha if hasattr(model, "alpha") else float(model)
-    return 1.0 / bessel_i_normalized(alpha, math.sqrt(2.0 * lam))
+    return 1.0 / bessel_i_normalized(model.alpha, math.sqrt(2.0 * lam))
 
 
 def _log_zero_product(table: ZeroTable, y: float):
@@ -444,9 +443,6 @@ class PairReport:
             "mc_count": self.mc_count,
             "seed": self.seed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 _BOCHNER_POINTS = 64

@@ -141,10 +141,12 @@ class TestLkExponent:
         assert gt.lk_exponent(sp, 1.0) == pytest.approx(math.log(0.5), abs=1e-9)
 
     def test_matches_mellin(self):
-        sp = gt.GammaRatioSpec(a=(1.0, 1.0), c=(2.0, 3.0))
-        got = gt.lk_exponent(sp, 0.5)
-        assert got == pytest.approx(math.log(gt.mellin(sp, 0.5)), abs=1e-8)
-        assert abs(math.exp(got) - gt.mellin(sp, 0.5)) <= 1e-6
+        # the second spec has fewer c entries than a entries (p < n)
+        for sp in (gt.GammaRatioSpec(a=(1.0, 1.0), c=(2.0, 3.0)),
+                   gt.GammaRatioSpec(a=(1.0, 1.0), c=(2.0,))):
+            got = gt.lk_exponent(sp, 0.5)
+            assert got == pytest.approx(math.log(gt.mellin(sp, 0.5)), abs=1e-8)
+            assert abs(math.exp(got) - gt.mellin(sp, 0.5)) <= 1e-6
 
     def test_shape_guards(self):
         with pytest.raises(ValueError):
@@ -360,9 +362,8 @@ class TestExistsSpec:
 
     def test_verdict_json(self):
         v = gt.ExistenceVerdict("NotExists", "scan-negative", witness=4.2)
-        loaded = json.loads(v.to_json())
-        assert loaded == {"state": "NotExists", "reason": "scan-negative",
-                          "witness": 4.2}
+        assert v.to_dict() == {"state": "NotExists", "reason": "scan-negative",
+                               "witness": 4.2}
 
 
 class TestBoundary:
@@ -460,6 +461,19 @@ class TestInversion:
         for x in (0.2, 0.7, 1.0, 2.3):
             want = 12.0 * x / (1.0 + x) ** 5
             assert gt.density_via_inversion(sp, x) == pytest.approx(want, abs=1e-10)
+
+    def test_beta_ratio_density_left_of_one_half(self):
+        # B1 / B2 with B1 ~ Beta(0.2, 0.5), B2 ~ Beta(0.3, 0.6): the line
+        # puts every Gamma argument at Re < 1/2 and runs past tau = 226,
+        # where pi / sin(pi z) leaves the double range
+        import mpmath as mp
+
+        sp = gt.GammaRatioSpec(a=(0.2,), b=(0.3,), c=(0.7,), d=(0.9,))
+        f1 = lambda u: u ** -0.8 * (1 - u) ** -0.5 / mp.beta(0.2, 0.5)
+        f2 = lambda y: y ** -0.7 * (1 - y) ** -0.4 / mp.beta(0.3, 0.6)
+        for x in (0.5, 2.0):
+            want = mp.quad(lambda y: y * f1(x * y) * f2(y), [0, min(1.0, 1.0 / x)])
+            assert gt.density_via_inversion(sp, x) == pytest.approx(float(want), abs=1e-4)
 
     def test_sigma_validation(self):
         sp = gt.GammaRatioSpec(a=(1.0,))

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from besselprob import _kernels_py
 from besselprob import backend, specfun
+from besselprob import gammatype as gt
+from besselprob.gammatype import GammaRatioSpec
 from besselprob.errors import AccuracyError
 
 import oracles
@@ -415,19 +417,14 @@ class TestZeros:
             specfun.ZeroTable(alpha=0.0, zeros=(-1.0, 2.0))
 
 
-class _SpecLike:
-    def __init__(self, a=(), b=(), c=(), d=()):
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-
 class TestPochhammer:
     def test_at_zero(self):
-        sp = _SpecLike(a=(2.0, 3.2, 3.4), c=(2.2, 2.4, 4.0))
-        assert specfun.pochhammer_ratio(sp, 0.0) == pytest.approx(1.0, abs=1e-15)
+        sp = GammaRatioSpec(a=(2.0, 3.2, 3.4), c=(2.2, 2.4, 4.0))
+        assert gt.mellin(sp, 0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_simple_ratio(self):
-        sp = _SpecLike(a=(1.0,), c=(2.0,))
-        assert specfun.pochhammer_ratio(sp, 1.0) == pytest.approx(0.5, rel=1e-13)
+        sp = GammaRatioSpec(a=(1.0,), c=(2.0,))
+        assert gt.mellin(sp, 1.0) == pytest.approx(0.5, rel=1e-13)
 
     def test_counterexample_limit_ratio(self):
         # Gamma(c) products over Gamma(a) products for the bounded-support
@@ -437,11 +434,11 @@ class TestPochhammer:
         assert math.exp(num - den) == pytest.approx(150.0 / 132.0, rel=1e-13)
 
     def test_strip_enforced(self):
-        sp = _SpecLike(a=(1.0,), b=(2.0,))
+        sp = GammaRatioSpec(a=(1.0,), b=(2.0,))
         with pytest.raises(ValueError):
-            specfun.pochhammer_ratio(sp, 2.5)
+            gt.mellin(sp, 2.5)
         with pytest.raises(ValueError):
-            specfun.pochhammer_ratio(sp, -1.0)
+            gt.mellin(sp, -1.0)
 
     @given(a1=st.floats(0.2, 5.0), c1=st.floats(0.2, 5.0),
            s=st.floats(0.05, 0.95))
@@ -450,9 +447,9 @@ class TestPochhammer:
         # (x)_s (x+s)_{-s} = 1: moving each entry into the opposite-sign
         # slot at the shifted argument inverts the ratio
         su = s * min(a1, c1)
-        fwd = _SpecLike(a=(a1,), c=(c1,))
-        mirror = _SpecLike(b=(a1 + su,), d=(c1 + su,))
-        prod = specfun.pochhammer_ratio(fwd, su) * specfun.pochhammer_ratio(mirror, su)
+        fwd = GammaRatioSpec(a=(a1,), c=(c1,))
+        mirror = GammaRatioSpec(b=(a1 + su,), d=(c1 + su,))
+        prod = gt.mellin(fwd, su) * gt.mellin(mirror, su)
         assert prod == pytest.approx(1.0, rel=1e-11)
 
 
@@ -663,3 +660,15 @@ def test_ln_gamma_complex_on_line():
                 got = specfun.ln_gamma_complex(complex(re, im))
                 want = complex(mp.loggamma(complex(re, im)))
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        # left of Re z = 1/2 (the reflection), out to |Im z| = 3000 where
+        # pi / sin(pi z) leaves the double range; the imaginary part is
+        # compared mod 2 pi
+        for re in (-3.5, -0.6, 0.05, 0.35, 0.49):
+            for im in (0.0, 0.5, -3.0, 40.0, 250.0, -700.0, 3000.0, -3000.0):
+                z = complex(re, im)
+                got = complex(specfun.ln_gamma_complex(z))
+                want = complex(mp.loggamma(z))
+                tol = 1e-12 * max(1.0, abs(want))
+                assert abs(got.real - want.real) <= tol, z
+                turn = (got.imag - want.imag + math.pi) % (2.0 * math.pi) - math.pi
+                assert abs(turn) <= tol, z

@@ -464,8 +464,6 @@ class TestVerifyPair:
         assert set(d) == {"alpha", "grid", "max_identity_error",
                           "bochner_min_eigenvalue", "mc_cf_max_z_score",
                           "mc_count", "seed"}
-        import json
-        assert json.loads(rep.to_json()) == json.loads(rep.to_json())
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
