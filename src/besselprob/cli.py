@@ -83,8 +83,7 @@ def cmd_verify_lommel(args) -> int:
     alphas = _parse_list(args.alpha_list)
     ts = _parse_list(args.t_list)
     if any(a <= -0.5 for a in alphas):
-        sys.stderr.write("alpha must exceed -1/2\n")
-        return EXIT_USAGE
+        raise ValueError("alpha must exceed -1/2")
 
     def row(alpha, t):
         c = math.exp(-specfun.ln_gamma(alpha + 0.5)) / math.sqrt(math.pi) \
@@ -119,11 +118,9 @@ def cmd_verify_ws(args) -> int:
     alphas = _parse_list(args.alpha_list)
     fracs = _parse_list(args.s_fractions)
     if any(a <= -0.5 for a in alphas):
-        sys.stderr.write("alpha must exceed -1/2\n")
-        return EXIT_USAGE
+        raise ValueError("alpha must exceed -1/2")
     if any(not 0.0 < f < 1.0 for f in fracs):
-        sys.stderr.write("s fractions must lie strictly inside (0, 1)\n")
-        return EXIT_USAGE
+        raise ValueError("s fractions must lie strictly inside (0, 1)")
 
     def row(alpha, frac):
         s = frac * (alpha + 0.5)
@@ -234,8 +231,7 @@ def cmd_gammatype_exists(args) -> int:
             _parse_number(args.c), _parse_number(args.d))
         payload = verdict.to_dict()
     else:
-        sys.stderr.write("give either a spec or all of -a -b -c -d\n")
-        return EXIT_USAGE
+        raise ValueError("give either a spec or all of -a -b -c -d")
     _emit(args, _canonical(payload), _manifest(args, started))
     return {"Exists": EXIT_PASS, "NotExists": EXIT_NOT_EXISTS,
             "Indeterminate": EXIT_INDETERMINATE}[verdict.state]
@@ -248,8 +244,7 @@ def cmd_gammatype_boundary(args) -> int:
     us = np.linspace(args.u_from, args.u_to, args.u_count)
     u_min = 0.5 * (3 * a + b) + 0.25
     if args.u_from < u_min - 1e-12:
-        sys.stderr.write(f"u range must start at or above {u_min}\n")
-        return EXIT_USAGE
+        raise ValueError(f"u range must start at or above {u_min}")
 
     def row(u):
         s = gammatype.boundary_f_ab(a, b, float(u), resolution=args.resolution)

