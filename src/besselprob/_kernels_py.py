@@ -28,6 +28,8 @@ __all__ = [
     "bessel_i",
     "hyp1f2_series",
     "hyp1f2_fixed_point",
+    "hankel_terms",
+    "bessel_j_error_bound",
     "j_crossover",
     "BACKEND_NAME",
 ]
@@ -286,6 +288,66 @@ def _hankel_pq(alpha: float, z: float) -> tuple[float, float]:
         else:
             q -= term
     return p, q
+
+
+def hankel_terms(alpha: float, z: float) -> tuple[list, float]:
+    """The terms t_k = a_k(alpha) z^{-k} of the large-argument expansion,
+    W = P + iQ = sum_k t_k i^k, kept by `_hankel_pq`'s stopping rule at z,
+    and a bound on |P - P_N| + |Q - Q_N| for the truncated P_N, Q_N.
+
+    By DLMF 10.17(iii), for real alpha and z > 0 the remainder of P and
+    of Q is bounded by its first neglected term once that term's index
+    k >= alpha - 1/2; the bound adds |t_k| from the first neglected index
+    up to the first P and the first Q index past that point.
+    """
+    mu = 4.0 * alpha * alpha
+    terms = [1.0]
+    term = 1.0
+    eight_z = 8.0 * z
+    prev = math.inf
+    k = 1
+    while True:
+        term *= (mu - (2.0 * k - 1.0) ** 2) / (k * eight_z)
+        at = abs(term)
+        if k >= _HANKEL_TERMS or at >= prev or at < _HANKEL_TINY:
+            break
+        prev = at
+        terms.append(term)
+        k += 1
+    # term is now t_k, the first neglected one
+    first = k
+    rest = 0.0
+    while True:
+        rest += abs(term)
+        if k > first and k - 1 >= alpha - 0.5:
+            return terms, rest
+        k += 1
+        term *= (mu - (2.0 * k - 1.0) ** 2) / (k * eight_z)
+
+
+def bessel_j_error_bound(alpha: float, z: float) -> float:
+    """A bound on |bessel_j(alpha, x) - J_alpha(x)| for 0 < x <= z.
+
+    The power series serves x below `j_crossover`, or for the
+    half-integer orders k + 1/2 below 2k + 2, where the closed form takes
+    over (nowhere for k < 1).  Its cancellation bound grows with x until
+    the fixed-point sum takes over past `_SERIES_BOUND_MAX`, so that part
+    is the bound at the top of its range, capped there.  Where the Hankel
+    expansion serves, its remainder at j_crossover (`hankel_terms`) and
+    the rounding of the phase, ~eps x, scaled by sqrt(2/(pi x)), are
+    added.  Every route is allowed 8 eps, as |J| <= 1.
+    """
+    eps = 2.0 ** -52
+    k = _half_integer_order(alpha)
+    zc = j_crossover(alpha)
+    top = min(z, zc) if k == -2 else min(z, 2.0 * k + 2.0) if k >= 1 else 0.0
+    bound = 8.0 * eps
+    if top > 0.0:
+        bound = max(bound, min(_bessel_j_series_bound(alpha, top)[1], _SERIES_BOUND_MAX))
+    if k == -2 and z >= zc:
+        rest = hankel_terms(alpha, zc)[1]
+        bound = max(bound, math.sqrt(2.0 / (math.pi * zc)) * (rest + eps * (z + 4.0)))
+    return bound
 
 
 def _hankel_pq_array(alpha: float, z: np.ndarray) -> tuple:

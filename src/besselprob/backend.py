@@ -1,7 +1,7 @@
 """The kernels every module calls: the scalar log-gamma, digamma, Bessel
 J/I and 1F2 series kernels of `_kernels_py`, its array `bessel_j_array`
-and complex `ln_gamma_complex`, and the array inverse normal CDF of
-`_normal`.
+and complex `ln_gamma_complex`, the Hankel expansion terms and the error
+bound of `bessel_j`, and the array inverse normal CDF of `_normal`.
 
 Modules take their kernels from here rather than from `_kernels_py`, so
 that one binding site names each kernel: the benchmark's call counters
@@ -17,10 +17,12 @@ from ._kernels_py import (
     bessel_j,
     bessel_j_array,
     bessel_j_asymptotic,
+    bessel_j_error_bound,
     bessel_j_normalized,
     bessel_j_prime,
     bessel_j_series,
     digamma,
+    hankel_terms,
     hyp1f2_fixed_point,
     hyp1f2_series,
     j_crossover,

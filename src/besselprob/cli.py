@@ -92,9 +92,6 @@ def cmd_verify_lommel(args) -> int:
         cos_part = quad.tanh_sinh(
             lambda x, dlo, dhi: math.cos(t * x) * (dlo * dhi) ** lam,
             -1.0, 1.0, tol=min(args.tol * 1e-2, 1e-12))
-        sin_part = quad.tanh_sinh(
-            lambda x, dlo, dhi: math.sin(t * x) * (dlo * dhi) ** lam,
-            -1.0, 1.0, tol=1e-12)
         lhs = c * cos_part.value
         rhs = specfun.bessel_j(alpha, t)
         return {
@@ -103,7 +100,6 @@ def cmd_verify_lommel(args) -> int:
             "lhs": lhs,
             "rhs": rhs,
             "abs_err": abs(lhs - rhs),
-            "odd_part": abs(c * sin_part.value),
         }
 
     rows = [row(a, t) for a in alphas for t in ts]
@@ -124,8 +120,10 @@ def cmd_verify_ws(args) -> int:
 
     def row(alpha, frac):
         s = frac * (alpha + 0.5)
-        r = quad.ws_integral(alpha, s, tol=args.tol * 0.1)
         rhs = quad.ws_rhs(alpha, s)
+        # the check is relative, so the integral's absolute tolerance
+        # scales with the closed form's size
+        r = quad.ws_integral(alpha, s, tol=args.tol * 0.1 * rhs)
         return {
             "alpha": alpha,
             "s": s,
@@ -192,6 +190,12 @@ def cmd_vandantzig_pair(args) -> int:
     return EXIT_PASS if ok else EXIT_TOL
 
 
+def _samples_csv(values) -> str:
+    """One value per line, to 17 significant digits, under a `value`
+    header."""
+    return "value\n" + "".join(f"{v:.17g}\n" for v in values)
+
+
 def cmd_vandantzig_sample(args) -> int:
     started = time.perf_counter()
     model = vandantzig.HittingTimeModel.build(args.alpha)
@@ -199,8 +203,7 @@ def cmd_vandantzig_sample(args) -> int:
         values = vandantzig.sample_hitting_time(model, args.seed, args.count)
     else:
         values = vandantzig.sample_subordinated(model, args.seed, args.count)
-    text = "value\n" + "".join(f"{v:.17g}\n" for v in values)
-    _emit(args, text, _manifest(args, started))
+    _emit(args, _samples_csv(values), _manifest(args, started))
     return EXIT_PASS
 
 
@@ -301,8 +304,7 @@ def cmd_sample_ratio_product(args) -> int:
     started = time.perf_counter()
     spec = _load_spec(args)
     values = gammatype.sample_ratio_product(spec, args.seed, args.count)
-    text = "value\n" + "".join(f"{v:.17g}\n" for v in values)
-    _emit(args, text, _manifest(args, started))
+    _emit(args, _samples_csv(values), _manifest(args, started))
     return EXIT_PASS
 
 

@@ -759,6 +759,10 @@ def askey_szego_check(a: float, b: float, x_grid: Sequence[float]) -> dict:
 # Density by Mellin inversion
 
 
+# the largest estimate of the dropped tail a returned density may carry
+_DENSITY_TAIL_MAX = 1e-3
+
+
 def density_via_inversion(spec: GammaRatioSpec, x: float,
                           line_sigma: Optional[float] = None,
                           truncation: Optional[float] = None) -> float:
@@ -769,7 +773,13 @@ def density_via_inversion(spec: GammaRatioSpec, x: float,
     A point mass at one (bounded-support equal-sum case) is subtracted
     from the symbol before inverting, since a constant symbol has no
     pointwise-convergent inverse.  `truncation` caps the tau horizon
-    (default 2400); raises ValueError unless x and it are finite and > 0."""
+    (default 2400); raises ValueError unless x and it are finite and > 0.
+
+    Where the symbol has not decayed at the horizon, the dropped part of
+    the integral is estimated as x^{-sigma-1} |symbol| min(horizon,
+    1/|log x|) / pi; past `_DENSITY_TAIL_MAX` the call raises
+    `AccuracyError` with the value and that estimate (at x = 1 for
+    Beta-ratio laws, whose symbols decay only algebraically)."""
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"need a finite x > 0, got {x!r}")
     if truncation is not None and not (math.isfinite(truncation) and truncation > 0.0):
@@ -822,7 +832,15 @@ def density_via_inversion(spec: GammaRatioSpec, x: float,
     sym = np.exp(_log_symbol(spec, zline, ln_gamma_complex)) - atom
     osc = np.exp(-1j * taus * math.log(x))
     acc = float(np.sum(weights * (sym * osc).real))
-    return math.exp(-(line_sigma + 1.0) * math.log(x)) * acc / math.pi
+    value = math.exp(-(line_sigma + 1.0) * math.log(x)) * acc / math.pi
+    # the integral dropped past the horizon: about |symbol| / |log x| where
+    # x^{-i tau} oscillates, about |symbol| * t_hi at x = 1 where it does not
+    log_x = abs(math.log(x))
+    dropped = x ** -(line_sigma + 1.0) * size * min(t_hi, 1.0 / log_x if log_x else math.inf) \
+        / math.pi
+    if dropped > _DENSITY_TAIL_MAX:
+        raise AccuracyError("inversion symbol has not decayed at the horizon", value, dropped)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Quadrature engines: adaptive Gauss-Legendre panels, tanh-sinh for
-endpoint singularities, and the oscillatory infinite integrals (moment of
-cos, squared-Bessel Mellin integral) evaluated by zero-partitioned panels
-with epsilon-algorithm acceleration.
+endpoint singularities, and the oscillatory infinite integrals: the moment
+of cos by zero-partitioned panels with epsilon-algorithm acceleration, the
+squared-Bessel Mellin integral by panels up to a zero past the Hankel
+crossover and a closed-form tail beyond it.
 """
 
 from __future__ import annotations
 
+import bisect
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,9 +43,10 @@ class QuadratureResult:
             raise ValueError("error estimate must be >= 0")
 
 
-# panels summed, and Wynn epsilon depth, in the oscillatory integrals
+# panels summed, and Wynn epsilon depth, in `fresnel_cos_moment`
 _OSC_PANELS = 48
 _ACCEL_DEPTH = 12
+_EPS = 2.0 ** -52
 
 
 @lru_cache(maxsize=8)
@@ -58,15 +62,14 @@ def _gl_panel(f, lo: float, hi: float, n: int) -> float:
     return r * math.fsum(w * f(m + r * x) for x, w in zip(xs, ws))
 
 
-def _gl_panels(f, edges: np.ndarray, n: int) -> list:
-    """`_gl_panel` on every panel [edges[i], edges[i+1]] at once, with the
-    same values: f maps the (panels, n) array of nodes to their integrand
-    values in one call, and each panel is still summed by `math.fsum`."""
+def _gl_grid(edges: np.ndarray, n: int) -> tuple:
+    """The n-point Gauss-Legendre nodes of every panel [edges[i],
+    edges[i+1]] as a (panels, n) array, the rule's weights, and the panel
+    half-widths."""
     xs, ws = _gl_nodes(n)
     m = 0.5 * (edges[:-1] + edges[1:])
     r = 0.5 * (edges[1:] - edges[:-1])
-    weighted = np.array(ws) * f(m[:, None] + r[:, None] * np.array(xs))
-    return [ri * math.fsum(row) for ri, row in zip(r.tolist(), weighted.tolist())]
+    return m[:, None] + r[:, None] * np.array(xs), np.array(ws), r
 
 
 _MAX_GL_PANELS = 2048
@@ -249,38 +252,141 @@ def ws_rhs(alpha: float, s: float) -> float:
     ) / (2.0 * math.sqrt(math.pi))
 
 
-def ws_integral(alpha: float, s: float, tol: float = 1e-9,
-                breakpoints: Optional[Sequence[float]] = None) -> QuadratureResult:
+def _zeros_through(alpha: float, x: float) -> tuple:
+    """The zeros of J_alpha up to the first one at or past x.
+
+    The count comes from McMahon's j_n ~ beta - (mu - 1)/(8 beta) with
+    beta = (n + alpha/2 - 1/4) pi, solved for j_n >= x; the table grows
+    one zero at a time when it falls short."""
+    beta = 0.5 * (x + math.sqrt(x * x + 0.5 * (4.0 * alpha * alpha - 1.0)))
+    n = max(1, math.ceil(beta / math.pi - 0.5 * alpha + 0.25))
+    zeros = bessel_zeros(alpha, n).zeros
+    while zeros[-1] < x:
+        n += 1
+        zeros = bessel_zeros(alpha, n).zeros
+    return zeros[:bisect.bisect_left(zeros, x) + 1]
+
+
+def _osc_factors(bs: list, z: float) -> tuple:
+    """C(b) = z^{b-1} e^{-2iz} int_z^inf x^{-b} e^{2ix} dx for each b of
+    the unit-spaced list `bs`, and the relative error of the continued
+    fraction behind them.
+
+    C(b) = e^{w} E_b(w) at w = -2iz is the continued fraction of the
+    incomplete Gamma function Gamma(1-b, w) (DLMF 8.9.2), summed by
+    modified Lentz at the b nearest 2z until a step changes it by at most
+    one rounding.  The others follow from C(b) = (i/(2z)) (1 - b C(b+1))
+    (integration by parts) downward and its inverse upward: each direction
+    damps a relative error by b/(2z) or 2z/b < 1 per step.
+    """
+    top = min(len(bs) - 1, max(0, round(2.0 * z - bs[0])))
+    b = bs[top]
+    den = complex(b, -2.0 * z)
+    c = 1e300
+    d = 1.0 / den
+    h = d
+    delta = 0.0
+    for i in range(1, 200):
+        an = -i * (i - 1.0 + b)
+        den += 2.0
+        d = 1.0 / (an * d + den)
+        c = den + an / c
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= 2.0 ** -53:
+            break
+    out = [0j] * len(bs)
+    out[top] = h
+    k = 0.5j / z
+    for n in range(top - 1, -1, -1):
+        out[n] = k * (1.0 - bs[n] * out[n + 1])
+    two_iz = 2j * z
+    for n in range(top + 1, len(bs)):
+        out[n] = (1.0 + two_iz * out[n - 1]) / bs[n - 1]
+    return out, abs(delta - 1.0)
+
+
+def _ws_tail(alpha: float, s: float, z: float) -> tuple:
+    """int_z^inf x^{-2s} (J_alpha(x)^2 - (1 + (mu-1)/(8 x^2))/(pi x)) dx
+    for z >= `backend.j_crossover(alpha)`, and the error bounds of its
+    Hankel truncation and its continued fraction.
+
+    With W = P + iQ = sum_k t_k i^k (z/x)^k (`backend.hankel_terms` at z)
+    and omega = x - alpha pi/2 - pi/4, J^2 = (|W|^2 + Re(W^2 e^{2 i
+    omega}))/(pi x) (DLMF 10.17.3).  The terms k >= 4 of |W|^2 integrate
+    as powers of x; each term of W^2 gives one `_osc_factors` integral.
+    """
+    terms, rest = backend.hankel_terms(alpha, z)
+    t = np.array(terms)
+    sign = np.where(np.arange(len(terms)) % 2 == 0, 1.0, -1.0)
+    # |W|^2 = sum_n e_n (z/x)^n with e_n = i^n sum_k (-1)^k t_{n-k} t_k,
+    # zero for odd n; e_0 and e_2 are the smooth envelope
+    e = np.convolve(t, t * sign).tolist()
+    power = math.fsum((e[n] if n % 4 == 0 else -e[n]) / (2.0 * s + n)
+                      for n in range(4, len(e), 2))
+    d = np.convolve(t, t).tolist()
+    factors, cf_err = _osc_factors([2.0 * s + 1.0 + n for n in range(len(d))], z)
+    rot = (1.0, 1j, -1.0, -1j)
+    parts = [rot[n % 4] * dn * fn for n, (dn, fn) in enumerate(zip(d, factors))]
+    wave = sum(parts)
+    # e^{-i(alpha pi + pi/2)} e^{2iz}, alpha reduced mod 2 first
+    phase = -1j * cmath.exp(1j * (2.0 * z - math.pi * math.fmod(alpha, 2.0)))
+    scale = z ** (-2.0 * s) / math.pi
+    value = scale * (power + (phase * wave).real)
+    # |J^2 - J_N^2| <= (2/(pi x)) (2 |W_N| r + r^2) with r <= rest (z/x)^(N+1)
+    n_terms = len(terms)
+    hankel_err = 2.0 * scale * (2.0 * float(np.abs(t).sum()) + rest) * rest \
+        / (2.0 * s + n_terms)
+    cf_bound = scale * cf_err * sum(abs(p) for p in parts)
+    return value, hankel_err, cf_bound
+
+
+def ws_integral(alpha: float, s: float, tol: float = 1e-9) -> QuadratureResult:
     """integral_0^inf z^{-2s} J_alpha(z)^2 dz for 0 < s < alpha + 1/2.
 
     Head [0, j_1] by tanh-sinh; the smooth envelope mean
     (1/(pi z))(1 + (mu-1)/(8 z^2)) integrates in closed form over
-    [j_1, inf); the oscillatory remainder is integrated panel-by-panel
-    between consecutive zeros (split at midpoints) and its partial sums
-    are Wynn-accelerated.  `breakpoints`, when given, replaces that
-    partition (ValueError unless strictly increasing); the value does not
-    depend on it.
+    [j_1, inf).  The oscillatory remainder is integrated by 32-point
+    Gauss-Legendre panels, two per gap between consecutive zeros, from j_1
+    to Z, the first zero at or past `backend.j_crossover(alpha)` (for
+    alpha <= 2 the fifth zero or earlier, at most 8 panels), and past Z in
+    closed form from the Hankel expansion (`_ws_tail`).
+
+    `abs_error_estimate` is the sum of
+      - the head's tanh-sinh estimate;
+      - the Hankel truncation of the tail: by DLMF 10.17(iii) the
+        remainders of P and Q are bounded by their first neglected terms,
+        carried through J^2 (`_ws_tail`);
+      - the truncation of the tail's continued fraction, relative to the
+        terms it feeds;
+      - the kernel accuracy: on each zero gap, z^{-2s} (2|J| + d) d summed
+        with the panel weights, d = `backend.bessel_j_error_bound` at the
+        gap's right end (the power series near j_crossover is off by up to
+        ~1e-12), plus 8 eps (1 + |log c| + |(2 alpha - 2s) log j_1|) times
+        the head for the exponentials that carry its prefactor c and power;
+      - 4 eps times the sum of the parts' magnitudes.
 
     `tol` is absolute: `converged` is `abs_error_estimate <= tol`, however
     small the integral.  Near s = alpha + 1/2 at large alpha the integral
     is ~1e-12, so `converged=True` there can come with a relative error
     of 1e-5 (e.g. alpha = 7.665, s = 6.537, tol = 1e-8).
 
-    All 32-point panel nodes go through one `backend.bessel_j_array` call,
-    whose values equal the scalar kernel's bit for bit; `z^{-2s}` is taken
-    per node in `math` (numpy's SIMD pow rounds differently), and each
-    panel is summed by `math.fsum` as before.
+    All panel nodes go through one `backend.bessel_j_array` call, whose
+    values equal the scalar kernel's bit for bit; `z^{-2s}` is taken per
+    node in `math` (numpy's SIMD pow rounds differently), and each panel
+    is summed by `math.fsum`.
     """
     if not alpha > -0.5:
         raise ValueError(f"need alpha > -1/2, got {alpha!r}")
     if not 0.0 < s < alpha + 0.5:
         raise ValueError(f"s={s} outside the strip (0, {alpha + 0.5})")
-    zeros = bessel_zeros(alpha, _OSC_PANELS + 1)
+    zeros = _zeros_through(alpha, backend.j_crossover(alpha))
     mu = 4.0 * alpha * alpha
     j1 = zeros[0]
 
     # z^{-2s} J^2 = exp((2a-2s) ln z) * Jnorm(z)^2 * 4^{-a} / Gamma(a+1)^2
-    c_head = math.exp(-2.0 * ln_gamma(alpha + 1.0) - alpha * math.log(4.0))
+    log_c = -2.0 * ln_gamma(alpha + 1.0) - alpha * math.log(4.0)
+    c_head = math.exp(log_c)
     head = tanh_sinh(
         lambda x, dlo, dhi: c_head * math.exp((2.0 * alpha - 2.0 * s) * math.log(dlo))
         * backend.bessel_j_normalized(alpha, dlo) ** 2,
@@ -291,32 +397,26 @@ def ws_integral(alpha: float, s: float, tol: float = 1e-9,
 
     power = -2.0 * s
 
-    def remainder(z: np.ndarray) -> np.ndarray:
-        jj = backend.bessel_j_array(alpha, z)
-        zp = np.array([v ** power for v in z.ravel().tolist()]).reshape(z.shape)
-        return zp * (jj * jj - (1.0 + (mu - 1.0) / (8.0 * z * z)) / (math.pi * z))
-
-    if breakpoints is None:
-        bps = []
-        for i in range(_OSC_PANELS):
-            a, b = zeros[i], zeros[i + 1]
-            bps.extend((a, 0.5 * (a + b)))
-        bps.append(zeros[_OSC_PANELS])
-    else:
-        bps = [float(b) for b in breakpoints]
-    edges = np.array(bps)
-    if not (edges[1:] > edges[:-1]).all():
-        raise ValueError("breakpoints must be strictly increasing")
-
-    total = 0.0
-    psums = []
-    for panel in _gl_panels(remainder, edges, 32):
-        total += panel
-        psums.append(total)
-    evals = head.evaluations + 32 * len(psums)
-    window = min(len(psums), 2 * _ACCEL_DEPTH)
-    accel, est = wynn_epsilon(psums[-window:])
-    est = est + head.abs_error_estimate + 1e-15 * abs(smooth)
-    value = head.value + smooth + accel
+    bps = []
+    for a, b in zip(zeros, zeros[1:]):
+        bps.extend((a, 0.5 * (a + b)))
+    bps.append(zeros[-1])
+    z, ws, r = _gl_grid(np.array(bps), 32)
+    jj = backend.bessel_j_array(alpha, z)
+    zp = np.array([v ** power for v in z.ravel().tolist()]).reshape(z.shape)
+    weighted = ws * (zp * (jj * jj - (1.0 + (mu - 1.0) / (8.0 * z * z)) / (math.pi * z)))
+    panels = [ri * math.fsum(row) for ri, row in zip(r.tolist(), weighted.tolist())]
+    # |J| is off by at most the kernel's bound over each zero gap
+    dj = np.repeat([backend.bessel_j_error_bound(alpha, b) for b in zeros[1:]], 2)[:, None]
+    kernel_err = float(np.sum(r[:, None] * ws * zp * (2.0 * np.abs(jj) + dj) * dj))
+    tail, hankel_err, cf_err = _ws_tail(alpha, s, zeros[-1])
+    parts = [head.value, smooth, *panels, tail]
+    value = math.fsum(parts)
+    # the exponentials that carry the head's prefactor and power
+    kernel_err += 8.0 * _EPS * (1.0 + abs(log_c) + abs((2.0 * alpha - 2.0 * s) * math.log(j1))) \
+        * abs(head.value)
+    est = (head.abs_error_estimate + hankel_err + cf_err + kernel_err
+           + 4.0 * _EPS * math.fsum(abs(p) for p in parts))
     return QuadratureResult(value=value, abs_error_estimate=est,
-                            evaluations=evals, converged=est <= tol)
+                            evaluations=head.evaluations + 32 * len(panels),
+                            converged=est <= tol)

@@ -32,7 +32,6 @@ __all__ = [
     "sample_hitting_time",
     "sample_subordinated",
     "verify_pair",
-    "write_samples_csv",
 ]
 
 _MIN_ALPHA_MARGIN = 1e-9
@@ -499,11 +498,3 @@ def verify_pair(model: PowerSemicircle, grid: Sequence[float],
     return PairReport(alpha=model.alpha, grid=ts, max_identity_error=id_err,
                       bochner_min_eigenvalue=min_eig, mc_cf_max_z_score=zmax,
                       mc_count=mc_count, seed=seed)
-
-
-def write_samples_csv(path: str, values: Sequence[float]) -> None:
-    """One value per line under a `value` header."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("value\n")
-        for v in values:
-            f.write(f"{float(v):.17g}\n")

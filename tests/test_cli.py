@@ -23,6 +23,8 @@ class TestVerifyCommands:
         assert payload["pass"] is True
         assert len(payload["rows"]) == 25
         assert all(r["abs_err"] <= 1e-9 for r in payload["rows"])
+        assert {tuple(sorted(r)) for r in payload["rows"]} == {
+            ("abs_err", "alpha", "lhs", "rhs", "t")}
         assert os.path.exists(str(out) + ".manifest.json")
 
     def test_lommel_domain_error(self, tmp_path):

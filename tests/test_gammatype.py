@@ -475,6 +475,19 @@ class TestInversion:
             want = mp.quad(lambda y: y * f1(x * y) * f2(y), [0, min(1.0, 1.0 / x)])
             assert gt.density_via_inversion(sp, x) == pytest.approx(float(want), abs=1e-4)
 
+    def test_beta_ratio_density_at_one_raises(self):
+        # the symbol decays like |tau|^-1.1, so the part past the horizon
+        # does not oscillate away at x = 1: the sum there gave 0.2875 for
+        # B(0.5, 0.1) / (B(0.2, 0.5) B(0.3, 0.6)) = 0.4333
+        sp = gt.GammaRatioSpec(a=(0.2,), b=(0.3,), c=(0.7,), d=(0.9,))
+        with pytest.raises(AccuracyError) as exc:
+            gt.density_via_inversion(sp, 1.0)
+        want = math.exp(math.lgamma(0.5) + math.lgamma(0.1) - math.lgamma(0.6)
+                        - math.lgamma(0.2) - math.lgamma(0.5) + math.lgamma(0.7)
+                        - math.lgamma(0.3) - math.lgamma(0.6) + math.lgamma(0.9))
+        assert exc.value.achieved_bound > 1e-3
+        assert abs(exc.value.value - want) > 0.1
+
     def test_sigma_validation(self):
         sp = gt.GammaRatioSpec(a=(1.0,))
         with pytest.raises(ValueError):

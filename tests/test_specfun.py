@@ -223,6 +223,39 @@ class TestBesselJArray:
             backend.bessel_j_array(alpha, z)
 
 
+class TestKernelErrorBounds:
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.5, 2.37, 7.3, 20.0, 55.0])
+    def test_hankel_terms(self, alpha):
+        # the terms are `_hankel_pq`'s (same sums, bit for bit), and the
+        # truncated expansion is within sqrt(2/(pi z)) rest of J (DLMF
+        # 10.17(iii)), up to the rounding of the sums
+        import mpmath as mp
+
+        cross = _kernels_py.j_crossover(alpha)
+        for z in (cross, 1.07 * cross + 0.3, 2.0 * cross):
+            terms, rest = _kernels_py.hankel_terms(alpha, z)
+            p, q = 1.0, 0.0
+            for k, t in enumerate(terms[1:], start=1):
+                if k % 2 == 0:
+                    p = p + t if k % 4 == 0 else p - t
+                else:
+                    q = q + t if k % 4 == 1 else q - t
+            assert (p, q) == _kernels_py._hankel_pq(alpha, z)
+            with mp.workdps(40):
+                w = mp.mpf(z) - (mp.mpf(alpha) / 2 + mp.mpf(1) / 4) * mp.pi
+                amp = mp.sqrt(2 / (mp.pi * z))
+                got = amp * (p * mp.cos(w) - q * mp.sin(w))
+                err = abs(got - oracles.mp_bessel_j(alpha, z))
+                assert err <= amp * (rest + 4e-16 * sum(abs(t) for t in terms)), (z, err)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5, 2.5907, 4.188, 7.9, 12.0])
+    def test_bessel_j_error_bound(self, alpha):
+        top = 1.2 * _kernels_py.j_crossover(alpha)
+        for z in np.linspace(top / 60, top, 60).tolist():
+            err = abs(_kernels_py.bessel_j(alpha, z) - float(oracles.mp_bessel_j(alpha, z)))
+            assert err <= _kernels_py.bessel_j_error_bound(alpha, z), (z, err)
+
+
 @pytest.mark.parametrize("name", ["bessel_j", "bessel_j_normalized", "bessel_j_prime",
                                   "bessel_j_array"])
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 2.0])

@@ -473,8 +473,15 @@ class TestVerifyPair:
 
 
 def test_samples_csv(tmp_path):
+    # both sample commands write their draws through one CSV writer: a
+    # `value` header, then one draw per line to 17 significant digits
+    from besselprob import cli
+
+    assert cli._samples_csv([1.0, 2.5, 0.125]) == "value\n1\n2.5\n0.125\n"
     path = tmp_path / "draws.csv"
-    vd.write_samples_csv(str(path), [1.0, 2.5, 0.125])
+    assert cli.main(["vandantzig", "sample", "--alpha", "1.0", "--count", "5",
+                     "--seed", "3", "--out", str(path)]) == 0
+    draws = vd.sample_hitting_time(vd.HittingTimeModel.build(1.0), 3, 5)
     lines = path.read_text().splitlines()
     assert lines[0] == "value"
-    assert [float(v) for v in lines[1:]] == [1.0, 2.5, 0.125]
+    assert [float(v) for v in lines[1:]] == draws.tolist()
