@@ -212,6 +212,8 @@ class F2TailProfile:
     alg: leading algebraic coefficient (of x^{-a}); sign decides the
          eventual algebraic behaviour.
     osc: positive envelope coefficient of x^{nu/2} cos(2 sqrt x + nu pi/2).
+    g1:  |g_1|, the modulus of the first correction coefficient of the
+         oscillatory expansion (`_f2_osc_coeffs`).
     horizon: the first x = 64 * 2^k <= 1e8 at which the algebraic part,
          less its truncation bound, is positive and at least 10 times the
          oscillatory envelope (with the moduli of all its terms); None when
@@ -224,14 +226,8 @@ class F2TailProfile:
     nu: float
     alg: float
     osc: float
+    g1: float
     horizon: Optional[float]
-
-    @property
-    def g1(self) -> float:
-        """|g_1|, the modulus of the first correction coefficient of the
-        oscillatory expansion (0 when it has none)."""
-        g = _f2_osc_coeffs(self.a, self.b, self.c)
-        return abs(g[1]) if len(g) > 1 else 0.0
 
 
 def _f2_pole_check(b: float, c: float):
@@ -246,52 +242,26 @@ _F2_KMAX = 14
 
 @lru_cache(maxsize=256)
 def _f2_osc_coeffs(a: float, b: float, c: float) -> tuple:
-    """Coefficients g_k of the oscillatory expansion
-    e^{2iu} u^nu sum_k g_k u^{-k} (u = sqrt(x)) solving the 1F2 ODE
-    theta(theta+b-1)(theta+c-1) F + x (theta+a) F = 0, with g_0 = 1.
+    """Coefficients g_0 = 1, g_1, ..., g_{_F2_KMAX} of the oscillatory
+    expansion e^{2iu} u^nu sum_k g_k u^{-k} (u = sqrt(x)) solving the 1F2
+    ODE theta(theta+b-1)(theta+c-1) F + x (theta+a) F = 0.
 
-    theta acts on e^{2iu} u^m as i u^{m+1} + (m/2) u^m, which turns the ODE
-    into an exactly solvable triangular recurrence.
+    theta acts on e^{2iu} u^m as i u^{m+1} + (m/2) u^m, so the ODE maps
+    e^{2iu} u^m to e^{2iu} ((nu-m) u^{m+2} + i A(m) u^{m+1} + B(m) u^m), with
+    h = m/2, h1 = (m+1)/2,
+      A(m) = (h+c-1)(h+b-1) + (h+c-1) h1 + (h1+b-1) h1,
+      B(m) = (h+c-1)(h+b-1) h.
+    The power u^{nu-k+2} of the series must vanish, which gives the
+    recurrence k g_k = -(i A(m) g_{k-1} + B(m+1) g_{k-2}) at m = nu-k+1.
     """
     nu = a - b - c + 0.5
-
-    def theta_plus(cc, poly):
-        out = {}
-        for m, amp in poly.items():
-            out[m + 1] = out.get(m + 1, 0) + amp * 1j
-            out[m] = out.get(m, 0) + amp * (0.5 * m + cc)
-        return out
-
-    def ode_apply(m):
-        p = {m: 1.0 + 0j}
-        q = theta_plus(c - 1.0, p)
-        q = theta_plus(b - 1.0, q)
-        q = theta_plus(0.0, q)
-        r = theta_plus(a, p)
-        out = dict(q)
-        for mm, amp in r.items():
-            out[mm + 2] = out.get(mm + 2, 0) + amp
-        return out
-
-    eq: dict = {}
-
-    def add(poly, coef):
-        for m, amp in poly.items():
-            key = round(m, 9)
-            eq[key] = eq.get(key, 0) + coef * amp
-
     g = [1.0 + 0j]
-    add(ode_apply(nu), g[0])
-    # the power m+3 coefficient vanishes identically; g_k enters at nu-k+2
     for k in range(1, _F2_KMAX + 1):
-        poly_k = ode_apply(nu - k)
-        c_unknown = poly_k.get(nu - k + 2, 0)
-        resid = eq.get(round(nu + 2 - k, 9), 0)
-        if abs(c_unknown) < 1e-13:
-            break
-        gk = -resid / c_unknown
-        g.append(gk)
-        add(poly_k, gk)
+        h = 0.5 * (nu - k + 1.0)
+        h1 = h + 0.5
+        amp = (h + c - 1.0) * (h + b - 1.0) + (h + c - 1.0) * h1 + (h1 + b - 1.0) * h1
+        back = (h1 + c - 1.0) * (h1 + b - 1.0) * h1 * g[k - 2] if k > 1 else 0.0
+        g.append(-(1j * amp * g[k - 1] + back) / k)
     return tuple(g)
 
 
@@ -311,7 +281,8 @@ def f2_tail_profile(a: float, b: float, c: float) -> F2TailProfile:
             dominated = (av - av_bound >= 10.0 * envelope) & (av > 0.0)
         if dominated.any():
             horizon = float(xs[dominated.argmax()])
-    return F2TailProfile(a=a, b=b, c=c, nu=nu, alg=alg, osc=osc, horizon=horizon)
+    return F2TailProfile(a=a, b=b, c=c, nu=nu, alg=alg, osc=osc,
+                         g1=abs(_f2_osc_coeffs(a, b, c)[1]), horizon=horizon)
 
 
 @lru_cache(maxsize=256)

@@ -79,6 +79,14 @@ def mp_hyp1f2(a, b, c, x, dps=60):
         return float(mp.hyp1f2(a, b, c, x))
 
 
+def gamma_cos_moment(mu, dps=40):
+    """Gamma(mu) cos(pi mu / 2) = int_0^inf z^{mu-1} cos z dz (0 < mu < 1)
+    at `dps` digits, as an mpf."""
+    with mp.workdps(dps):
+        m = mp.mpf(mu)
+        return mp.gamma(m) * mp.cos(mp.pi * m / 2)
+
+
 def bisect_first_j_zero(alpha, lo, hi, dps=40):
     """Sign-change bisection on the high-precision series."""
     with mp.workdps(dps):

@@ -2,9 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besselprob import quad, specfun
 from besselprob.errors import DivergenceError
+
+import oracles
 
 # frozen: sqrt(pi) Gamma(0.6) / Gamma(1.1), Beta-integral oracle at 50 digits
 BETA_M04 = 2.7745019184840557379
@@ -74,26 +78,6 @@ class TestTanhSinh:
         assert abs(r1.value - r2.value) <= max(r1.abs_error_estimate, 1e-15)
 
 
-class TestWynn:
-    def test_geometric(self):
-        partial = []
-        tot = 0.0
-        for k in range(20):
-            tot += 0.7 ** k
-            partial.append(tot)
-        val, est = quad.wynn_epsilon(partial)
-        assert val == pytest.approx(1.0 / 0.3, rel=1e-12)
-
-    def test_alternating_log2(self):
-        partial = []
-        tot = 0.0
-        for k in range(1, 26):
-            tot += (-1.0) ** (k + 1) / k
-            partial.append(tot)
-        val, est = quad.wynn_epsilon(partial)
-        assert val == pytest.approx(math.log(2.0), abs=1e-10)
-
-
 class TestFresnelMoment:
     @pytest.mark.parametrize("mu,target", [
         (0.5, 1.2533141373155002512),       # sqrt(pi/2)
@@ -119,6 +103,19 @@ class TestFresnelMoment:
     def test_domain(self):
         with pytest.raises(ValueError):
             quad.fresnel_cos_moment(1.2)
+
+    # both ends of (0, 1): the value grows like 1/mu as mu -> 0 and tends
+    # to 0 as mu -> 1
+    @pytest.mark.parametrize("mu", [1e-8, 1e-3, 0.005, 0.01, 0.06, 0.5, 1.0 - 1e-6])
+    def test_error_within_estimate(self, mu):
+        r = quad.fresnel_cos_moment(mu)
+        assert abs(r.value - oracles.gamma_cos_moment(mu)) <= r.abs_error_estimate
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_error_within_estimate_property(self, mu):
+        r = quad.fresnel_cos_moment(mu)
+        assert abs(r.value - oracles.gamma_cos_moment(mu)) <= r.abs_error_estimate
 
 
 class TestWsIntegral:
@@ -171,14 +168,6 @@ class TestWsIntegral:
         for alpha in (0.0, 0.3, 0.5, 1.0, 1.35, 1.5, 1.9, 2.0):
             quad.ws_integral(alpha, 0.4, tol=1e-9)
         assert 0 < max(counts) <= 8
-
-    def test_no_acceleration_step(self, monkeypatch):
-        def fail(seq):
-            raise AssertionError("ws_integral called wynn_epsilon")
-
-        monkeypatch.setattr(quad, "wynn_epsilon", fail)
-        r = quad.ws_integral(1.0, 0.5, tol=1e-9)
-        assert r.value == pytest.approx(quad.ws_rhs(1.0, 0.5), rel=1e-13)
 
     def test_error_estimate_bounds_the_error(self):
         # |value - closed form| <= abs_error_estimate at 150 points, alpha in

@@ -707,6 +707,23 @@ class TestHyp1F2:
         assert specfun._f2_alg_coeffs.cache_info().currsize == 1
         assert specfun._f2_osc_coeffs.cache_info().currsize == 1
 
+    # at b = a, 1F2 is 0F1(; c; -x) = Gamma(c) x^{(1-c)/2} J_{c-1}(2 sqrt x),
+    # whose Hankel expansion (DLMF 10.17.3) makes g_k = a_k(c-1) (i/2)^k
+    # with a_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k); compared
+    # weighted by u^{-k} at u = sqrt(160), where the expansion takes over
+    @pytest.mark.parametrize("a, c", [(0.5, 1.5), (1.3, 2.4), (2.0, 0.7), (3.7, 5.2),
+                                      (0.9, 8.1)])
+    def test_osc_coeffs_match_hankel_at_b_equal_a(self, a, c):
+        g = specfun._f2_osc_coeffs(a, a, c)
+        u = math.sqrt(160.0)
+        scale = sum(abs(gk) * u ** -k for k, gk in enumerate(g))
+        four_nu2 = 4.0 * (c - 1.0) ** 2
+        ak = 1.0
+        for k, gk in enumerate(g):
+            if k:
+                ak *= (four_nu2 - (2 * k - 1) ** 2) / (8.0 * k)
+            assert abs(gk - ak * (0.5j) ** k) * u ** -k <= 1e-13 * scale, (k, gk, ak)
+
     def test_pole_rejected(self):
         with pytest.raises(ValueError):
             specfun.hyp1f2(1.0, -2.0, 1.5, -4.0)
