@@ -1,10 +1,9 @@
 """Scalar kernels: log-gamma, digamma, Bessel J/I, 1F2 series.
 
 The functions in `__all__` are the library's one kernel implementation;
-every module reaches them through `besselprob.backend`.  `bessel_j_array`
-is the array form of `bessel_j` and returns its values bit for bit;
-`ln_gamma_complex` works on complex arrays.  Everything here is pure and
-reentrant.
+every module reaches them through `besselprob.backend`.  All but
+`ln_gamma_complex`, which works on complex arrays, take and return floats.
+Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ __all__ = [
     "bessel_i_normalized",
     "digamma",
     "bessel_j",
-    "bessel_j_array",
     "bessel_j_series",
     "bessel_j_asymptotic",
     "bessel_j_prime",
@@ -134,8 +132,7 @@ def j_crossover(alpha: float) -> float:
 _MAX_SERIES_TERMS = 400
 
 
-# Stopping rules and the route switch shared by `bessel_j` and
-# `bessel_j_array`.
+# Stopping rules and the route switch of `bessel_j`.
 _HANKEL_TERMS = 40          # the P/Q sums stop before term k = 40 ...
 _HANKEL_TINY = 1e-18        # ... or at a term this small, or growing
 _SERIES_STOP = 1e-17        # the series stops at a term this small relative to its sum
@@ -152,33 +149,26 @@ def _half_integer_order(alpha: float) -> int:
     return -2
 
 
-def _half_integer_safe(k: int, z):
-    """Whether the closed form of order k + 1/2 may be used at z (a float,
-    or elementwise for an array).
+def _half_integer_k(alpha: float, z: float) -> int:
+    """Return k for alpha = k + 1/2 with k in [-1, 6] when the closed form
+    is safe at z, else -2.
 
     The trigonometric closed forms use k forward recurrence steps, which
     amplify rounding by ~(2k-1)!! (2/z)^k; only safe once z outgrows k.
     """
-    return (k < 1) | (z >= 2.0 * k + 2.0)
-
-
-def _half_integer_k(alpha: float, z: float) -> int:
-    """Return k for alpha = k + 1/2 with k in [-1, 6] when the closed form
-    is safe at z, else -2."""
     k = _half_integer_order(alpha)
-    if k != -2 and _half_integer_safe(k, z):
+    if k != -2 and (k < 1 or z >= 2.0 * k + 2.0):
         return k
     return -2
 
 
-def _bessel_j_half(k: int, z, xp=math):
-    # closed trigonometric forms; forward recurrence is safe for k <= 6.
-    # xp is math for a float z, numpy for an array.
-    c = xp.sqrt(2.0 / (math.pi * z))
+def _bessel_j_half(k: int, z: float) -> float:
+    # closed trigonometric forms; forward recurrence is safe for k <= 6
+    c = math.sqrt(2.0 / (math.pi * z))
     if k == -1:
-        return c * xp.cos(z)
-    jm = c * xp.cos(z)          # J_{-1/2}
-    jc = c * xp.sin(z)          # J_{+1/2}
+        return c * math.cos(z)
+    jm = c * math.cos(z)        # J_{-1/2}
+    jc = c * math.sin(z)        # J_{+1/2}
     nu = 0.5
     for _ in range(k):
         jm, jc = jc, (2.0 * nu / z) * jc - jm
@@ -220,34 +210,6 @@ def _bessel_j_series_bound(alpha: float, z: float) -> tuple[float, float]:
         comp = (t - total) - y
         total = t
         if at <= _SERIES_STOP * (abs(total) + 1e-300):
-            break
-    return total, 4e-16 * max_term
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _bessel_j_series_bound_array(alpha: float, z: np.ndarray) -> tuple:
-    """`_bessel_j_series_bound` elementwise; an element whose term falls
-    below the stopping rule stops summing (the mask `active`), and one
-    whose terms leave the double range sums inf or nan, as the scalar."""
-    half = 0.5 * z
-    lg = ln_gamma(alpha + 1.0)
-    log_term = [alpha * math.log(h) - lg for h in half.tolist()]
-    term = np.array([math.exp(v) if v < _SERIES_LOG_MAX else math.inf for v in log_term])
-    ratio = -half * half
-    total = term.copy()
-    comp = np.zeros_like(z)
-    max_term = np.abs(term)
-    active = np.ones(z.shape, dtype=bool)
-    for n in range(1, _MAX_SERIES_TERMS):
-        term = term * (ratio / (n * (n + alpha)))
-        at = np.abs(term)
-        np.copyto(max_term, at, where=active & (at > max_term))
-        y = term - comp
-        t = total + y
-        np.copyto(comp, (t - total) - y, where=active)
-        np.copyto(total, t, where=active)
-        active &= ~(at <= _SERIES_STOP * (np.abs(total) + 1e-300))
-        if not active.any():
             break
     return total, 4e-16 * max_term
 
@@ -326,7 +288,13 @@ def hankel_terms(alpha: float, z: float) -> tuple[list, float]:
 
 
 def bessel_j_error_bound(alpha: float, z: float) -> float:
-    """A bound on |bessel_j(alpha, x) - J_alpha(x)| for 0 < x <= z.
+    """A bound on |bessel_j(alpha, x) - J_alpha(x)| for every 0 < x <= z
+    with |J_alpha(x)| <= max(1, |J_alpha(z)|).
+
+    That is all of (0, z] for alpha >= 0, where |J| <= 1.  For
+    -1 < alpha < 0, J_alpha falls from +inf at 0 to its first zero and
+    stays within [-1, 1] once it has fallen through 1, so below that
+    point the bound holds at z alone.
 
     The power series serves x below `j_crossover`, or for the
     half-integer orders k + 1/2 below 2k + 2, where the closed form takes
@@ -335,13 +303,21 @@ def bessel_j_error_bound(alpha: float, z: float) -> float:
     is the bound at the top of its range, capped there.  Where the Hankel
     expansion serves, its remainder at j_crossover (`hankel_terms`) and
     the rounding of the phase, ~eps x, scaled by sqrt(2/(pi x)), are
-    added.  Every route is allowed 8 eps, as |J| <= 1.
+    added.  Every route is allowed 8 eps where |J| <= 1; where |J(z)| > 1
+    the prefactor (z/2)^alpha / Gamma(alpha+1) carries the rounding of
+    its exponent, 4 eps (2 + |alpha log(z/2)| + |log Gamma(alpha+1)|)
+    relative to J.
     """
     eps = 2.0 ** -52
     k = _half_integer_order(alpha)
     zc = j_crossover(alpha)
     top = min(z, zc) if k == -2 else min(z, 2.0 * k + 2.0) if k >= 1 else 0.0
     bound = 8.0 * eps
+    if alpha < 0.0 and z > 0.0:
+        jz = abs(bessel_j(alpha, z))
+        if jz > 1.0:
+            lg = abs(alpha * math.log(0.5 * z)) + abs(ln_gamma(alpha + 1.0))
+            bound = 4.0 * eps * (2.0 + lg) * jz
     if top > 0.0:
         bound = max(bound, min(_bessel_j_series_bound(alpha, top)[1], _SERIES_BOUND_MAX))
     if k == -2 and z >= zc:
@@ -350,39 +326,11 @@ def bessel_j_error_bound(alpha: float, z: float) -> float:
     return bound
 
 
-def _hankel_pq_array(alpha: float, z: np.ndarray) -> tuple:
-    """`_hankel_pq` elementwise; an element whose term grows or falls
-    below `_HANKEL_TINY` stops summing (the mask `active`)."""
-    mu = 4.0 * alpha * alpha
-    p = np.ones_like(z)
-    q = np.zeros_like(z)
-    term = np.ones_like(z)
-    eight_z = 8.0 * z
-    prev = np.full_like(z, math.inf)
-    active = np.ones(z.shape, dtype=bool)
-    for k in range(1, _HANKEL_TERMS):
-        term = term * ((mu - (2.0 * k - 1.0) ** 2) / (k * eight_z))
-        at = np.abs(term)
-        active &= ~((at >= prev) | (at < _HANKEL_TINY))
-        if not active.any():
-            break
-        prev = at
-        acc = p if k % 2 == 0 else q
-        np.add(acc, term if k % 4 < 2 else -term, out=acc, where=active)
-    return p, q
-
-
-def _hankel_form(alpha: float, z, p, q, xp=math):
-    """sqrt(2/(pi z)) (P cos w - Q sin w); xp is math for a float z, numpy
-    for an array."""
-    w = z - alpha * math.pi / 2.0 - math.pi / 4.0
-    return xp.sqrt(2.0 / (math.pi * z)) * (p * xp.cos(w) - q * xp.sin(w))
-
-
 def bessel_j_asymptotic(alpha: float, z: float) -> float:
     """Large-argument form sqrt(2/(pi z)) (P cos w - Q sin w)."""
     p, q = _hankel_pq(alpha, z)
-    return _hankel_form(alpha, z, p, q)
+    w = z - alpha * math.pi / 2.0 - math.pi / 4.0
+    return math.sqrt(2.0 / (math.pi * z)) * (p * math.cos(w) - q * math.sin(w))
 
 
 def _require_finite_z(name: str, z: float) -> None:
@@ -424,61 +372,23 @@ def _bessel_j_fixed_point(alpha: float, z: float) -> float:
     return val * (0.5 * z) ** f / math.gamma(f + 1.0)
 
 
-def bessel_j_array(alpha: float, z) -> np.ndarray:
-    """J_alpha(z) for alpha > -1 and every element of an array of finite
-    z >= 0; an array of z's shape, equal bit for bit to `bessel_j` at
-    each element.
-
-    Each element takes the route `bessel_j` takes for it (zero, the
-    half-integer closed form, the Hankel expansion from `j_crossover`, the
-    series, the fixed-point sum past `_SERIES_BOUND_MAX`).  The stopping
-    rules of the Hankel sums and the series are masks of the elements
-    still summing, so every element sees the scalar operations in the
-    scalar order.  exp and log run per element in `math`: numpy's SIMD
-    versions round differently from libm at some points.  cos, sin and
-    sqrt come from numpy, which matched libm at every point tried.
-    """
-    if not alpha > -1.0 or math.isnan(alpha):
-        raise ValueError(f"bessel_j requires alpha > -1, got {alpha!r}")
-    z = np.asarray(z, dtype=float)
-    flat = z.ravel()
-    bad = ~((flat >= 0.0) & (flat < math.inf)) | ((flat == 0.0) & (alpha < 0.0))
-    if bad.any():
-        v = float(flat[bad][0])
-        if v == 0.0:
-            raise ZeroDivisionError("J_alpha(0) is singular for alpha < 0")
-        _require_finite_z("bessel_j", v)
-    zero = flat == 0.0
-    out = np.where(zero & (alpha == 0.0), 1.0, 0.0)
-    todo = ~zero
-    if todo.any():
-        k = _half_integer_order(alpha)
-        if k != -2:
-            half = todo & _half_integer_safe(k, flat)
-            out[half] = _bessel_j_half(k, flat[half], np)
-            todo &= ~half
-        asym = todo & (flat >= j_crossover(alpha))
-        if asym.any():
-            za = flat[asym]
-            p, q = _hankel_pq_array(alpha, za)
-            out[asym] = _hankel_form(alpha, za, p, q, np)
-        series = todo & ~asym
-        if series.any():
-            zs = flat[series]
-            val, bound = _bessel_j_series_bound_array(alpha, zs)
-            far = ~(bound <= _SERIES_BOUND_MAX)
-            val[far] = [_bessel_j_fixed_point(alpha, v) for v in zs[far].tolist()]
-            out[series] = val
-    return out.reshape(z.shape)
-
-
 def bessel_j_prime(alpha: float, z: float) -> float:
-    """J_alpha'(z) via (J_{alpha-1} - J_{alpha+1}) / 2 (finite z > 0).
+    """J_alpha'(z) via (J_{alpha-1} - J_{alpha+1}) / 2 for alpha > -1,
+    finite z >= 0.
 
     For alpha <= 0 the order alpha-1 leaves the supported range, so the
     equivalent recurrence form (alpha/z) J_alpha - J_{alpha+1} is used.
+    At z = 0, J_0'(0) = -J_1(0) = 0, and the other orders in (-1, 1) are
+    singular (ZeroDivisionError).
     """
+    if not alpha > -1.0 or math.isnan(alpha):
+        raise ValueError(f"bessel_j_prime requires alpha > -1, got {alpha!r}")
     _require_finite_z("bessel_j_prime", z)
+    if z == 0.0 and alpha < 1.0:
+        if alpha == 0.0:
+            return 0.0
+        raise ZeroDivisionError(f"J_alpha'(0) is singular for -1 < alpha < 1, alpha != 0 "
+                                f"(alpha = {alpha!r})")
     if alpha > 0.0:
         return 0.5 * (bessel_j(alpha - 1.0, z) - bessel_j(alpha + 1.0, z))
     return (alpha / z) * bessel_j(alpha, z) - bessel_j(alpha + 1.0, z)

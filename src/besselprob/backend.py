@@ -1,7 +1,7 @@
 """The kernels every module calls: the scalar log-gamma, digamma, Bessel
-J/I and 1F2 series kernels of `_kernels_py`, its array `bessel_j_array`
-and complex `ln_gamma_complex`, the Hankel expansion terms and the error
-bound of `bessel_j`, and the array inverse normal CDF of `_normal`.
+J/I and 1F2 series kernels of `_kernels_py` and its complex
+`ln_gamma_complex`, the Hankel expansion terms and the error bound of
+`bessel_j`, and the array inverse normal CDF of `_normal`.
 
 Modules take their kernels from here rather than from `_kernels_py`, so
 that one binding site names each kernel: the benchmark's call counters
@@ -15,7 +15,6 @@ from ._kernels_py import (
     bessel_i,
     bessel_i_normalized,
     bessel_j,
-    bessel_j_array,
     bessel_j_asymptotic,
     bessel_j_error_bound,
     bessel_j_normalized,

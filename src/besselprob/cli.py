@@ -410,7 +410,7 @@ def main(argv=None) -> int:
     # the commands leave their domain and accuracy errors to this mapping
     try:
         return args.func(args)
-    except (ValueError, OverflowError, DivergenceError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError, DivergenceError) as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
     except AccuracyError as exc:

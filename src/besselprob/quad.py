@@ -58,16 +58,6 @@ def _gl_panel(f, lo: float, hi: float, n: int) -> float:
     return r * math.fsum(w * f(m + r * x) for x, w in zip(xs, ws))
 
 
-def _gl_grid(edges: np.ndarray, n: int) -> tuple:
-    """The n-point Gauss-Legendre nodes of every panel [edges[i],
-    edges[i+1]] as a (panels, n) array, the rule's weights, and the panel
-    half-widths."""
-    xs, ws = _gl_nodes(n)
-    m = 0.5 * (edges[:-1] + edges[1:])
-    r = 0.5 * (edges[1:] - edges[:-1])
-    return m[:, None] + r[:, None] * np.array(xs), np.array(ws), r
-
-
 _MAX_GL_PANELS = 2048
 
 
@@ -312,13 +302,25 @@ def _ws_tail(alpha: float, s: float, z: float) -> tuple:
 def ws_integral(alpha: float, s: float, tol: float = 1e-9) -> QuadratureResult:
     """integral_0^inf z^{-2s} J_alpha(z)^2 dz for 0 < s < alpha + 1/2.
 
-    Head [0, j_1] by tanh-sinh; the smooth envelope mean
+    On the head [0, j_1], z^{-2s} J^2 = c z^p Jnorm(z)^2 with p = 2 alpha -
+    2s, c = 4^{-alpha} / Gamma(alpha+1)^2 and Jnorm = `bessel_j_normalized`
+    (1 at z = 0), integrated by tanh-sinh.  For p < 0 the leading power
+    c z^p integrates in closed form, c j_1^{p+1} / (p+1), and tanh-sinh
+    takes only c z^p (Jnorm^2 - 1), which vanishes like z^{p+2}: as
+    p + 1 -> 0 nearly all of the head's mass sits below its smallest node
+    (~1e-167 j_1), where the closed form counts it.  (For p >= 0 the
+    closed form would exceed the head by up to ~1e8 at large alpha, and
+    the cancellation would cost as many digits.)  The smooth envelope mean
     (1/(pi z))(1 + (mu-1)/(8 z^2)) integrates in closed form over
-    [j_1, inf).  The oscillatory remainder is integrated by 32-point
-    Gauss-Legendre panels, two per gap between consecutive zeros, from j_1
-    to Z, the first zero at or past `backend.j_crossover(alpha)` (for
-    alpha <= 2 the fifth zero or earlier, at most 8 panels), and past Z in
-    closed form from the Hankel expansion (`_ws_tail`).
+    [j_1, inf).  The oscillatory remainder is integrated by one 16-point
+    Gauss-Legendre panel per gap between consecutive zeros, from j_1 to Z,
+    the first zero at or past `backend.j_crossover(alpha)` (for
+    alpha <= 2 the fifth zero or earlier, at most 4 panels), and past Z
+    in closed form from the Hankel expansion (`_ws_tail`).  Each panel
+    node takes one scalar `backend.bessel_j` and one z^{-2s}, and each
+    panel one `math.fsum`.  As j_crossover grows like alpha^2/4, large
+    orders need many panels, whose nodes below j_crossover take the
+    fixed-point J.
 
     `abs_error_estimate` is the sum of
       - the head's tanh-sinh estimate;
@@ -330,19 +332,16 @@ def ws_integral(alpha: float, s: float, tol: float = 1e-9) -> QuadratureResult:
       - the kernel accuracy: on each zero gap, z^{-2s} (2|J| + d) d summed
         with the panel weights, d = `backend.bessel_j_error_bound` at the
         gap's right end (the power series near j_crossover is off by up to
-        ~1e-12), plus 8 eps (1 + |log c| + |(2 alpha - 2s) log j_1|) times
-        the head for the exponentials that carry its prefactor c and power;
+        ~1e-12), plus 8 eps (1 + |log c| + (|p| + 1) |log j_1|) times the
+        head's two parts for the exponentials that carry its prefactor c
+        and powers, plus eps (|p| + 1) / (p + 1) times the closed-form
+        part for the rounding of p + 1;
       - 4 eps times the sum of the parts' magnitudes.
 
     `tol` is absolute: `converged` is `abs_error_estimate <= tol`, however
     small the integral.  Near s = alpha + 1/2 at large alpha the integral
     is ~1e-12, so `converged=True` there can come with a relative error
     of 1e-5 (e.g. alpha = 7.665, s = 6.537, tol = 1e-8).
-
-    All panel nodes go through one `backend.bessel_j_array` call, whose
-    values equal the scalar kernel's bit for bit; `z^{-2s}` is taken per
-    node in `math` (numpy's SIMD pow rounds differently), and each panel
-    is summed by `math.fsum`.
     """
     if not alpha > -0.5:
         raise ValueError(f"need alpha > -1/2, got {alpha!r}")
@@ -352,39 +351,48 @@ def ws_integral(alpha: float, s: float, tol: float = 1e-9) -> QuadratureResult:
     mu = 4.0 * alpha * alpha
     j1 = zeros[0]
 
-    # z^{-2s} J^2 = exp((2a-2s) ln z) * Jnorm(z)^2 * 4^{-a} / Gamma(a+1)^2
+    # z^{-2s} J^2 = c z^p Jnorm(z)^2; for p < 0, c z^p in closed form
     log_c = -2.0 * ln_gamma(alpha + 1.0) - alpha * math.log(4.0)
     c_head = math.exp(log_c)
-    head = tanh_sinh(
-        lambda x, dlo, dhi: c_head * math.exp((2.0 * alpha - 2.0 * s) * math.log(dlo))
-        * backend.bessel_j_normalized(alpha, dlo) ** 2,
-        0.0, j1, tol=min(tol * 0.1, 1e-12))
+    p = 2.0 * alpha - 2.0 * s
+    log_j1 = math.log(j1)
+    one = 1.0 if p < 0.0 else 0.0
+    lead = math.exp(log_c + (p + 1.0) * log_j1) / (p + 1.0) if p < 0.0 else 0.0
+
+    def head_rest(x, dlo, dhi):
+        jn = backend.bessel_j_normalized(alpha, dlo)
+        return c_head * math.exp(p * math.log(dlo)) * (jn * jn - one)
+
+    head = tanh_sinh(head_rest, 0.0, j1, tol=min(tol * 0.1, 1e-12))
 
     smooth = j1 ** (-2.0 * s) / (2.0 * math.pi * s) \
         + (mu - 1.0) / (8.0 * math.pi) * j1 ** (-2.0 * s - 2.0) / (2.0 * s + 2.0)
 
     power = -2.0 * s
-
-    bps = []
+    xs, ws = _gl_nodes(16)
+    panels = []
+    kernel_err = 0.0
     for a, b in zip(zeros, zeros[1:]):
-        bps.extend((a, 0.5 * (a + b)))
-    bps.append(zeros[-1])
-    z, ws, r = _gl_grid(np.array(bps), 32)
-    jj = backend.bessel_j_array(alpha, z)
-    zp = np.array([v ** power for v in z.ravel().tolist()]).reshape(z.shape)
-    weighted = ws * (zp * (jj * jj - (1.0 + (mu - 1.0) / (8.0 * z * z)) / (math.pi * z)))
-    panels = [ri * math.fsum(row) for ri, row in zip(r.tolist(), weighted.tolist())]
-    # |J| is off by at most the kernel's bound over each zero gap
-    dj = np.repeat([backend.bessel_j_error_bound(alpha, b) for b in zeros[1:]], 2)[:, None]
-    kernel_err = float(np.sum(r[:, None] * ws * zp * (2.0 * np.abs(jj) + dj) * dj))
+        m = 0.5 * (a + b)
+        r = 0.5 * (b - a)
+        # |J| is off by at most the kernel's bound over the zero gap
+        dj = backend.bessel_j_error_bound(alpha, b)
+        terms = []
+        for x, w in zip(xs, ws):
+            z = m + r * x
+            jz = backend.bessel_j(alpha, z)
+            zp = z ** power
+            terms.append(w * (zp * (jz * jz - (1.0 + (mu - 1.0) / (8.0 * z * z)) / (math.pi * z))))
+            kernel_err += r * w * zp * (2.0 * abs(jz) + dj) * dj
+        panels.append(r * math.fsum(terms))
     tail, hankel_err, cf_err = _ws_tail(alpha, s, zeros[-1])
-    parts = [head.value, smooth, *panels, tail]
+    parts = [lead, head.value, smooth, *panels, tail]
     value = math.fsum(parts)
-    # the exponentials that carry the head's prefactor and power
-    kernel_err += 8.0 * _EPS * (1.0 + abs(log_c) + abs((2.0 * alpha - 2.0 * s) * math.log(j1))) \
-        * abs(head.value)
+    # the exponentials that carry the head's prefactor and powers, and p + 1
+    kernel_err += 8.0 * _EPS * (1.0 + abs(log_c) + (abs(p) + 1.0) * abs(log_j1)) \
+        * (abs(lead) + abs(head.value)) + _EPS * (abs(p) + 1.0) / (p + 1.0) * abs(lead)
     est = (head.abs_error_estimate + hankel_err + cf_err + kernel_err
-           + 4.0 * _EPS * math.fsum(abs(p) for p in parts))
+           + 4.0 * _EPS * math.fsum(abs(v) for v in parts))
     return QuadratureResult(value=value, abs_error_estimate=est,
-                            evaluations=head.evaluations + 32 * len(panels),
+                            evaluations=head.evaluations + 16 * len(panels),
                             converged=est <= tol)

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .backend import bessel_i_normalized, bessel_j_array, bessel_j_normalized
+from .backend import bessel_i_normalized, bessel_j, bessel_j_normalized
 from .specfun import ZeroTable, bessel_zeros, ln_gamma, zero_tail_power_sum
 
 __all__ = [
@@ -265,7 +265,8 @@ def _spectral_table(zeros: ZeroTable) -> SpectralTable:
     alpha = zeros.alpha
     j = np.asarray(zeros.zeros[:_TERM_ZEROS])
     log_norm = alpha * math.log(2.0) + ln_gamma(alpha + 1.0)
-    w = 2.0 * np.exp((alpha - 1.0) * np.log(j) - log_norm) / bessel_j_array(alpha + 1.0, j)
+    jp = np.array([bessel_j(alpha + 1.0, v) for v in j.tolist()])
+    w = 2.0 * np.exp((alpha - 1.0) * np.log(j) - log_norm) / jp
     if not (np.all(w[::2] > 0.0) and np.all(w[1::2] < 0.0)):
         # J_{alpha+1} alternates in sign over consecutive zeros of J_alpha
         raise ValueError(f"the zero table of J_{alpha!r} skips a zero")

@@ -256,7 +256,12 @@ class TestSampleCommands:
     ["vandantzig", "pair", "--alpha", "0.5", "--mc", "1"],
     # x = inf died with an uncaught ZeroDivisionError
     ["gammatype", "density", "--spec-json", '{"a":[2],"b":[3]}', "--x-list", "inf"],
-], ids=["sample-alpha", "quasilevy-a", "spec-not-json", "pair-one-sample", "density-x-inf"])
+    # these three died with a ZeroDivisionError traceback and exit 1
+    ["gammatype", "exists", "-a", "1/0", "-b", "1", "-c", "1", "-d", "1"],
+    ["gammatype", "exists", "--spec-json", '{"a": ["1/0"]}'],
+    ["verify", "lommel", "--alpha-list=-0.4", "--t-list", "0"],
+], ids=["sample-alpha", "quasilevy-a", "spec-not-json", "pair-one-sample", "density-x-inf",
+        "exists-zero-denominator", "spec-zero-denominator", "lommel-negative-order-at-0"])
 def test_domain_error_exits_2_without_output(argv, tmp_path):
     # the commands leave these errors to main's one mapping
     out = tmp_path / "x.out"
