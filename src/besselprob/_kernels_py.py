@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -20,7 +22,6 @@ __all__ = [
     "bessel_i_normalized",
     "digamma",
     "bessel_j",
-    "bessel_j_series",
     "bessel_j_asymptotic",
     "bessel_j_prime",
     "bessel_i",
@@ -140,6 +141,11 @@ _SERIES_BOUND_MAX = 2e-11   # a larger series bound hands over to the fixed-poin
 _SERIES_LOG_MAX = 700.0     # a larger log prefactor starts the series at inf, before exp
                             # overflows (its bound exceeds _SERIES_BOUND_MAX anyway)
 
+# (2k - 1)^2 of the Hankel term ratio, and the alternating signs of P's
+# and of Q's terms
+_ODD_SQUARES = tuple((2.0 * k - 1.0) ** 2 for k in range(_HANKEL_TERMS + 1))
+_SIGNS = (1.0, -1.0) * (_HANKEL_TERMS // 2)
+
 
 def _half_integer_order(alpha: float) -> int:
     """Return k for alpha = k + 1/2 with k in [-1, 6], else -2."""
@@ -162,31 +168,22 @@ def _half_integer_k(alpha: float, z: float) -> int:
     return -2
 
 
-def _bessel_j_half(k: int, z: float) -> float:
-    # closed trigonometric forms; forward recurrence is safe for k <= 6
+def _bessel_half(k: int, z: float, modified: bool) -> float:
+    """J_{k+1/2}(z), or I_{k+1/2}(z) if `modified`, from the closed
+    trigonometric (hyperbolic) forms at orders -1/2 and 1/2 by k forward
+    recurrence steps, safe for k <= 6.  I's step I_{nu-1} - (2 nu/z) I_nu
+    is the negation of J's (2 nu/z) J_nu - J_{nu-1}."""
+    cos, sin, sign = (math.cosh, math.sinh, -1.0) if modified else (math.cos, math.sin, 1.0)
     c = math.sqrt(2.0 / (math.pi * z))
+    jm = c * cos(z)             # order -1/2
     if k == -1:
-        return c * math.cos(z)
-    jm = c * math.cos(z)        # J_{-1/2}
-    jc = c * math.sin(z)        # J_{+1/2}
+        return jm
+    jc = c * sin(z)             # order +1/2
     nu = 0.5
     for _ in range(k):
-        jm, jc = jc, (2.0 * nu / z) * jc - jm
+        jm, jc = jc, sign * ((2.0 * nu / z) * jc - jm)
         nu += 1.0
     return jc
-
-
-def _bessel_i_half(k: int, z: float) -> float:
-    c = math.sqrt(2.0 / (math.pi * z))
-    if k == -1:
-        return c * math.cosh(z)
-    im = c * math.cosh(z)         # I_{-1/2}
-    ic = c * math.sinh(z)         # I_{+1/2}
-    nu = 0.5
-    for _ in range(k):
-        im, ic = ic, im - (2.0 * nu / z) * ic
-        nu += 1.0
-    return ic
 
 
 def _bessel_j_series_bound(alpha: float, z: float) -> tuple[float, float]:
@@ -214,70 +211,40 @@ def _bessel_j_series_bound(alpha: float, z: float) -> tuple[float, float]:
     return total, 4e-16 * max_term
 
 
-def bessel_j_series(alpha: float, z: float) -> float:
-    """Power series sum_{n} (-1)^n (z/2)^{2n+alpha} / (n! Gamma(n+alpha+1))."""
-    if z == 0.0:
-        if alpha == 0.0:
-            return 1.0
-        if alpha > 0.0:
-            return 0.0
-        raise ZeroDivisionError("J_alpha(0) is singular for alpha < 0")
-    return _bessel_j_series_bound(alpha, z)[0]
-
-
-def _hankel_pq(alpha: float, z: float) -> tuple[float, float]:
-    """P and Q sums of the large-argument expansion, truncated at the
-    smallest term."""
+def _hankel_series(alpha: float, z: float) -> tuple[list, float]:
+    """The terms t_k = a_k(alpha) z^{-k} of the large-argument expansion
+    kept before the first one that is no smaller than its predecessor,
+    below _HANKEL_TINY or at index _HANKEL_TERMS, and that first
+    neglected term."""
     mu = 4.0 * alpha * alpha
-    p = 1.0
-    q = 0.0
+    terms = [1.0]
     term = 1.0
     eight_z = 8.0 * z
     prev = math.inf
-    for k in range(1, _HANKEL_TERMS):
-        term *= (mu - (2.0 * k - 1.0) ** 2) / (k * eight_z)
+    for k in range(1, _HANKEL_TERMS + 1):
+        term *= (mu - _ODD_SQUARES[k]) / (k * eight_z)
         at = abs(term)
-        if at >= prev or at < _HANKEL_TINY:
+        if at >= prev or at < _HANKEL_TINY or k == _HANKEL_TERMS:
             break
         prev = at
-        r = k % 4
-        if r == 0:
-            p += term
-        elif r == 1:
-            q += term
-        elif r == 2:
-            p -= term
-        else:
-            q -= term
-    return p, q
+        terms.append(term)
+    return terms, term
 
 
 def hankel_terms(alpha: float, z: float) -> tuple[list, float]:
     """The terms t_k = a_k(alpha) z^{-k} of the large-argument expansion,
-    W = P + iQ = sum_k t_k i^k, kept by `_hankel_pq`'s stopping rule at z,
-    and a bound on |P - P_N| + |Q - Q_N| for the truncated P_N, Q_N.
+    W = P + iQ = sum_k t_k i^k, that `bessel_j_asymptotic` sums at z, and
+    a bound on |P - P_N| + |Q - Q_N| for the truncated P_N, Q_N.
 
     By DLMF 10.17(iii), for real alpha and z > 0 the remainder of P and
     of Q is bounded by its first neglected term once that term's index
     k >= alpha - 1/2; the bound adds |t_k| from the first neglected index
     up to the first P and the first Q index past that point.
     """
+    terms, term = _hankel_series(alpha, z)
     mu = 4.0 * alpha * alpha
-    terms = [1.0]
-    term = 1.0
     eight_z = 8.0 * z
-    prev = math.inf
-    k = 1
-    while True:
-        term *= (mu - (2.0 * k - 1.0) ** 2) / (k * eight_z)
-        at = abs(term)
-        if k >= _HANKEL_TERMS or at >= prev or at < _HANKEL_TINY:
-            break
-        prev = at
-        terms.append(term)
-        k += 1
-    # term is now t_k, the first neglected one
-    first = k
+    k = first = len(terms)
     rest = 0.0
     while True:
         rest += abs(term)
@@ -303,10 +270,12 @@ def bessel_j_error_bound(alpha: float, z: float) -> float:
     is the bound at the top of its range, capped there.  Where the Hankel
     expansion serves, its remainder at j_crossover (`hankel_terms`) and
     the rounding of the phase, ~eps x, scaled by sqrt(2/(pi x)), are
-    added.  Every route is allowed 8 eps where |J| <= 1; where |J(z)| > 1
-    the prefactor (z/2)^alpha / Gamma(alpha+1) carries the rounding of
-    its exponent, 4 eps (2 + |alpha log(z/2)| + |log Gamma(alpha+1)|)
-    relative to J.
+    added.  Every route is allowed 8 eps where |J| <= 1.  The series'
+    prefactor (x/2)^alpha / Gamma(alpha+1) carries the rounding of its
+    exponent, 4 eps (2 + |alpha log(x/2)| + |log Gamma(alpha+1)|)
+    relative to J: taken at the top of the series' range where |J| <= 1
+    (there the error alone reaches 13 eps, at alpha = 5.82, x = 7.03), and
+    at z where |J(z)| > 1.
     """
     eps = 2.0 ** -52
     k = _half_integer_order(alpha)
@@ -319,7 +288,9 @@ def bessel_j_error_bound(alpha: float, z: float) -> float:
             lg = abs(alpha * math.log(0.5 * z)) + abs(ln_gamma(alpha + 1.0))
             bound = 4.0 * eps * (2.0 + lg) * jz
     if top > 0.0:
-        bound = max(bound, min(_bessel_j_series_bound(alpha, top)[1], _SERIES_BOUND_MAX))
+        lg = abs(alpha * math.log(0.5 * top)) + abs(ln_gamma(alpha + 1.0))
+        bound = max(bound, 4.0 * eps * (2.0 + lg),
+                    min(_bessel_j_series_bound(alpha, top)[1], _SERIES_BOUND_MAX))
     if k == -2 and z >= zc:
         rest = hankel_terms(alpha, zc)[1]
         bound = max(bound, math.sqrt(2.0 / (math.pi * zc)) * (rest + eps * (z + 4.0)))
@@ -327,10 +298,21 @@ def bessel_j_error_bound(alpha: float, z: float) -> float:
 
 
 def bessel_j_asymptotic(alpha: float, z: float) -> float:
-    """Large-argument form sqrt(2/(pi z)) (P cos w - Q sin w)."""
-    p, q = _hankel_pq(alpha, z)
+    """Large-argument form sqrt(2/(pi z)) (P cos w - Q sin w), with
+    P + iQ = sum_k t_k i^k over the terms of `_hankel_series`."""
+    terms = _hankel_series(alpha, z)[0]
+    # P = t_0 - t_2 + t_4 - ..., Q = t_1 - t_3 + ..., each summed in order
+    p = reduce(add, map(mul, terms[0::2], _SIGNS))
+    q = reduce(add, map(mul, terms[1::2], _SIGNS), 0.0)
     w = z - alpha * math.pi / 2.0 - math.pi / 4.0
     return math.sqrt(2.0 / (math.pi * z)) * (p * math.cos(w) - q * math.sin(w))
+
+
+def _require_order(name: str, alpha: float) -> None:
+    """Raise the domain error for an order that is not above -1 (NaN
+    included)."""
+    if not alpha > -1.0:
+        raise ValueError(f"{name} requires alpha > -1, got {alpha!r}")
 
 
 def _require_finite_z(name: str, z: float) -> None:
@@ -342,8 +324,7 @@ def _require_finite_z(name: str, z: float) -> None:
 
 def bessel_j(alpha: float, z: float) -> float:
     """J_alpha(z) for alpha > -1, finite z >= 0."""
-    if not alpha > -1.0 or math.isnan(alpha):
-        raise ValueError(f"bessel_j requires alpha > -1, got {alpha!r}")
+    _require_order("bessel_j", alpha)
     _require_finite_z("bessel_j", z)
     if z == 0.0:
         if alpha < 0.0:
@@ -351,7 +332,7 @@ def bessel_j(alpha: float, z: float) -> float:
         return 1.0 if alpha == 0.0 else 0.0
     k = _half_integer_k(alpha, z)
     if k != -2:
-        return _bessel_j_half(k, z)
+        return _bessel_half(k, z, False)
     if z >= j_crossover(alpha):
         return bessel_j_asymptotic(alpha, z)
     val, bound = _bessel_j_series_bound(alpha, z)
@@ -381,8 +362,7 @@ def bessel_j_prime(alpha: float, z: float) -> float:
     At z = 0, J_0'(0) = -J_1(0) = 0, and the other orders in (-1, 1) are
     singular (ZeroDivisionError).
     """
-    if not alpha > -1.0 or math.isnan(alpha):
-        raise ValueError(f"bessel_j_prime requires alpha > -1, got {alpha!r}")
+    _require_order("bessel_j_prime", alpha)
     _require_finite_z("bessel_j_prime", z)
     if z == 0.0 and alpha < 1.0:
         if alpha == 0.0:
@@ -394,23 +374,27 @@ def bessel_j_prime(alpha: float, z: float) -> float:
     return (alpha / z) * bessel_j(alpha, z) - bessel_j(alpha + 1.0, z)
 
 
+def _normalized_series(alpha: float, r: float) -> float:
+    """sum_n r^n / (n! (alpha+1)_n): the power series of J_alpha (r =
+    -z^2/4) or I_alpha (r = z^2/4) with the (z/2)^alpha / Gamma(alpha+1)
+    prefactor removed."""
+    term = 1.0
+    total = 1.0
+    for n in range(1, _MAX_SERIES_TERMS):
+        term *= r / (n * (n + alpha))
+        total += term
+        if abs(term) <= _SERIES_STOP * (abs(total) + 1e-300):
+            break
+    return total
+
+
 def bessel_j_normalized(alpha: float, z: float) -> float:
     """Gamma(alpha+1) (z/2)^{-alpha} J_alpha(z): the removable-singularity
     form, equal to 1 at z = 0.  Stable for all z >= 0 and alpha > -1."""
-    if not alpha > -1.0 or math.isnan(alpha):
-        raise ValueError(f"bessel_j_normalized requires alpha > -1, got {alpha!r}")
+    _require_order("bessel_j_normalized", alpha)
     _require_finite_z("bessel_j_normalized", z)
     if z <= 1e-2 or (z <= 14.0 and _half_integer_k(alpha, z) == -2):
-        # series with the (z/2)^alpha / Gamma(alpha+1) prefactor removed
-        term = 1.0
-        total = 1.0
-        ratio = -0.25 * z * z
-        for n in range(1, _MAX_SERIES_TERMS):
-            term *= ratio / (n * (n + alpha))
-            total += term
-            if abs(term) <= 1e-17 * (abs(total) + 1e-300):
-                break
-        return total
+        return _normalized_series(alpha, -0.25 * z * z)
     return bessel_j(alpha, z) * math.exp(ln_gamma(alpha + 1.0) - alpha * math.log(0.5 * z))
 
 
@@ -421,21 +405,12 @@ def bessel_i_normalized(alpha: float, z: float) -> float:
     """Gamma(alpha+1) (z/2)^{-alpha} I_alpha(z); equal to 1 at z = 0 and
     >= 1 for all real z (even in z).  OverflowError as `bessel_i` for
     |z| past ~690, infinite z included."""
-    if not alpha > -1.0 or math.isnan(alpha):
-        raise ValueError(f"bessel_i_normalized requires alpha > -1, got {alpha!r}")
+    _require_order("bessel_i_normalized", alpha)
     if math.isnan(z):
         raise ValueError(f"bessel_i_normalized requires real z, got {z!r}")
     z = abs(z)
     if z <= 1e-2:
-        term = 1.0
-        total = 1.0
-        ratio = 0.25 * z * z
-        for n in range(1, _MAX_SERIES_TERMS):
-            term *= ratio / (n * (n + alpha))
-            total += term
-            if term <= 1e-17 * total:
-                break
-        return total
+        return _normalized_series(alpha, 0.25 * z * z)
     return bessel_i(alpha, z) * math.exp(ln_gamma(alpha + 1.0) - alpha * math.log(0.5 * z))
 
 
@@ -443,8 +418,7 @@ def bessel_i(alpha: float, z: float) -> float:
     """I_alpha(z) for alpha > -1, z >= 0.  All series terms are positive so
     there is no cancellation; raises OverflowError past z ~ 690 (z = inf
     included) with the log-scale value in the message."""
-    if not alpha > -1.0 or math.isnan(alpha):
-        raise ValueError(f"bessel_i requires alpha > -1, got {alpha!r}")
+    _require_order("bessel_i", alpha)
     if not z >= 0.0:
         raise ValueError(f"bessel_i requires z >= 0, got {z!r}")
     if z == 0.0:
@@ -456,7 +430,7 @@ def bessel_i(alpha: float, z: float) -> float:
         raise OverflowError(f"I_alpha overflow: log I_{alpha}({z}) ~ {log_val:.6g}")
     k = _half_integer_k(alpha, z)
     if k != -2:
-        return _bessel_i_half(k, z)
+        return _bessel_half(k, z, True)
     half = 0.5 * z
     term = math.exp(alpha * math.log(half) - ln_gamma(alpha + 1.0))
     ratio = half * half

@@ -19,7 +19,6 @@ from ._kernels_py import (
     bessel_j_error_bound,
     bessel_j_normalized,
     bessel_j_prime,
-    bessel_j_series,
     digamma,
     hankel_terms,
     hyp1f2_fixed_point,

@@ -38,14 +38,18 @@ def _canonical(obj) -> str:
 
 
 def _parse_number(text: str) -> float:
-    return float(Fraction(text)) if "/" in text else float(text)
+    try:
+        return float(Fraction(text)) if "/" in text else float(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_list(text: str):
     return [_parse_number(v) for v in text.split(",") if v.strip()]
 
 
-def _emit(args, text: str, manifest: dict) -> None:
+def _emit(args, text: str) -> None:
+    manifest = _manifest(args)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as f:
@@ -60,7 +64,7 @@ def _emit(args, text: str, manifest: dict) -> None:
         f.write("\n")
 
 
-def _manifest(args, started: float) -> dict:
+def _manifest(args) -> dict:
     return {
         "command": shlex.join(["besselprob", *args.argv]),
         "seed": getattr(args, "seed", None),
@@ -70,7 +74,7 @@ def _manifest(args, started: float) -> dict:
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "wall_time_s": round(time.perf_counter() - started, 6),
+        "wall_time_s": round(time.perf_counter() - args.started, 6),
     }
 
 
@@ -79,7 +83,6 @@ def _manifest(args, started: float) -> dict:
 
 
 def cmd_verify_lommel(args) -> int:
-    started = time.perf_counter()
     alphas = _parse_list(args.alpha_list)
     ts = _parse_list(args.t_list)
     if any(a <= -0.5 for a in alphas):
@@ -105,12 +108,11 @@ def cmd_verify_lommel(args) -> int:
     rows = [row(a, t) for a in alphas for t in ts]
     ok = all(r["abs_err"] <= args.tol for r in rows)
     payload = {"rows": rows, "tol": args.tol, "pass": ok}
-    _emit(args, _canonical(payload), _manifest(args, started))
+    _emit(args, _canonical(payload))
     return EXIT_PASS if ok else EXIT_TOL
 
 
 def cmd_verify_ws(args) -> int:
-    started = time.perf_counter()
     alphas = _parse_list(args.alpha_list)
     fracs = _parse_list(args.s_fractions)
     if any(a <= -0.5 for a in alphas):
@@ -136,12 +138,11 @@ def cmd_verify_ws(args) -> int:
     rows = [row(a, f) for a in alphas for f in fracs]
     ok = all(r["rel_err"] <= args.tol for r in rows)
     payload = {"rows": rows, "tol": args.tol, "pass": ok}
-    _emit(args, _canonical(payload), _manifest(args, started))
+    _emit(args, _canonical(payload))
     return EXIT_PASS if ok else EXIT_TOL
 
 
 def cmd_verify_appendix(args) -> int:
-    started = time.perf_counter()
     rows = []
     if args.which in ("fresnel", "all"):
         for mu10 in range(1, 10):
@@ -170,7 +171,7 @@ def cmd_verify_appendix(args) -> int:
             })
     ok = all(r["pass"] for r in rows)
     payload = {"rows": rows, "pass": ok}
-    _emit(args, _canonical(payload), _manifest(args, started))
+    _emit(args, _canonical(payload))
     return EXIT_PASS if ok else EXIT_TOL
 
 
@@ -179,14 +180,13 @@ def cmd_verify_appendix(args) -> int:
 
 
 def cmd_vandantzig_pair(args) -> int:
-    started = time.perf_counter()
     model = vandantzig.PowerSemicircle(args.alpha)
     grid = np.linspace(args.grid_max / 128.0, args.grid_max, 128)
     report = vandantzig.verify_pair(model, grid, mc_count=args.mc, seed=args.seed)
     ok = (report.max_identity_error <= 1e-8
           and report.bochner_min_eigenvalue >= -1e-10
           and report.mc_cf_max_z_score <= 4.0)
-    _emit(args, _canonical(report.to_dict()), _manifest(args, started))
+    _emit(args, _canonical(report.to_dict()))
     return EXIT_PASS if ok else EXIT_TOL
 
 
@@ -197,13 +197,12 @@ def _samples_csv(values) -> str:
 
 
 def cmd_vandantzig_sample(args) -> int:
-    started = time.perf_counter()
     model = vandantzig.HittingTimeModel.build(args.alpha)
     if args.kind == "T":
         values = vandantzig.sample_hitting_time(model, args.seed, args.count)
     else:
         values = vandantzig.sample_subordinated(model, args.seed, args.count)
-    _emit(args, _samples_csv(values), _manifest(args, started))
+    _emit(args, _samples_csv(values))
     return EXIT_PASS
 
 
@@ -221,7 +220,6 @@ def _load_spec(args) -> gammatype.GammaRatioSpec:
 
 
 def cmd_gammatype_exists(args) -> int:
-    started = time.perf_counter()
     if args.spec_json or args.spec_file:
         spec = _load_spec(args)
         verdict = gammatype.exists_spec(spec)
@@ -235,13 +233,12 @@ def cmd_gammatype_exists(args) -> int:
         payload = verdict.to_dict()
     else:
         raise ValueError("give either a spec or all of -a -b -c -d")
-    _emit(args, _canonical(payload), _manifest(args, started))
+    _emit(args, _canonical(payload))
     return {"Exists": EXIT_PASS, "NotExists": EXIT_NOT_EXISTS,
             "Indeterminate": EXIT_INDETERMINATE}[verdict.state]
 
 
 def cmd_gammatype_boundary(args) -> int:
-    started = time.perf_counter()
     a = _parse_number(args.a)
     b = _parse_number(args.b)
     us = np.linspace(args.u_from, args.u_to, args.u_count)
@@ -254,22 +251,20 @@ def cmd_gammatype_boundary(args) -> int:
         return f"{s.u:.12g},{s.f_value:.12g},{s.bracket_width:.12g},{s.method}\n"
 
     text = "u,f_value,bracket_width,method\n" + "".join(row(u) for u in us)
-    _emit(args, text, _manifest(args, started))
+    _emit(args, text)
     return EXIT_PASS
 
 
 def cmd_gammatype_density(args) -> int:
-    started = time.perf_counter()
     spec = _load_spec(args)
     rows = [{"x": x, "density": gammatype.density_via_inversion(
         spec, x, line_sigma=args.sigma, truncation=args.truncation)}
         for x in _parse_list(args.x_list)]
-    _emit(args, _canonical({"rows": rows}), _manifest(args, started))
+    _emit(args, _canonical({"rows": rows}))
     return EXIT_PASS
 
 
 def cmd_gammatype_quasilevy(args) -> int:
-    started = time.perf_counter()
     q = gammatype.QuasiLevySpec(_parse_number(args.a), _parse_number(args.b))
     root = gammatype.quasi_levy_root(q)
     ss = _parse_list(args.s_list) if args.s_list else [-q.a / 2.0, q.b / 2.0]
@@ -285,26 +280,24 @@ def cmd_gammatype_quasilevy(args) -> int:
         "root": root,
         "reconstruction": checks,
     }
-    _emit(args, _canonical(payload), _manifest(args, started))
+    _emit(args, _canonical(payload))
     ok = all(c["rel_err"] <= 1e-5 for c in checks)
     return EXIT_PASS if ok else EXIT_TOL
 
 
 def cmd_gammatype_convexity(args) -> int:
-    started = time.perf_counter()
     a = _parse_number(args.a)
     b = _parse_number(args.b)
     us = list(np.linspace(args.u_from, args.u_to, args.u_count))
     report = gammatype.convexity_scan(a, b, us, resolution=args.resolution)
-    _emit(args, _canonical(report), _manifest(args, started))
+    _emit(args, _canonical(report))
     return EXIT_PASS if report["monotonicity_violations"] == 0 else EXIT_TOL
 
 
 def cmd_sample_ratio_product(args) -> int:
-    started = time.perf_counter()
     spec = _load_spec(args)
     values = gammatype.sample_ratio_product(spec, args.seed, args.count)
-    _emit(args, _samples_csv(values), _manifest(args, started))
+    _emit(args, _samples_csv(values))
     return EXIT_PASS
 
 
@@ -407,6 +400,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     args.argv = argv
+    args.started = time.perf_counter()
     # the commands leave their domain and accuracy errors to this mapping
     try:
         return args.func(args)

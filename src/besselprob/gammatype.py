@@ -60,7 +60,10 @@ __all__ = [
 
 def _parse_entry(v) -> float:
     if isinstance(v, str):
-        return float(Fraction(v))
+        try:
+            return float(Fraction(v))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {v!r}") from None
     return float(v)
 
 
@@ -556,7 +559,7 @@ def exists_D(a: float, b: float, c: float, d: float) -> ExistenceVerdict:
     delegates to the 1F2 scan on the shifted parameters (a+b; c+b, d+b).
     Symmetric in (c, d)."""
     for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
-        if not v > 0.0 or math.isnan(v):
+        if not v > 0.0:
             raise ValueError(f"parameter {name} must be positive, got {v!r}")
     mn = min(c, d)
     threshold = 3.0 * a + b + 0.5

@@ -162,7 +162,7 @@ def bessel_zeros(alpha: float, count: int) -> ZeroTable:
     the same table.
     """
     alpha = float(alpha)
-    if math.isnan(alpha) or not alpha > -1.0:
+    if not alpha > -1.0:
         raise ValueError(f"need alpha > -1, got {alpha!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -314,23 +314,35 @@ def _f2_alg_coeffs(a: float, b: float, c: float) -> tuple:
     return pref, tuple(coeffs)
 
 
+def _sum_to_smallest(terms, shape: tuple, dtype=float):
+    """Sum an iterable of term arrays of `shape`, each element up to its
+    first term larger in modulus than the one before (the mask
+    `active`).  Returns (total, trunc, mag, active): the sums, the
+    modulus of the term each element stopped at (else of its last term),
+    the sums of the moduli kept, and which elements never stopped."""
+    total = np.zeros(shape, dtype=dtype)
+    trunc, mag = np.zeros(shape), np.zeros(shape)
+    last = np.full(shape, math.inf)
+    active = np.ones(shape, dtype=bool)
+    for t in terms:
+        at = np.abs(t)
+        np.copyto(trunc, at, where=active)
+        active &= ~(at > last)
+        np.add(total, t, out=total, where=active)
+        np.add(mag, at, out=mag, where=active)
+        last = at
+    return total, trunc, mag, active
+
+
 def _f2_alg_series(a: float, b: float, c: float, x: np.ndarray):
     """Algebraic component of 1F2(a;b,c;-x) on an array x of large values
     (exact coefficients from the Mellin-Barnes residues); returns
-    (values, trunc_bounds) arrays.  An element stops summing at its first
-    growing term (the mask `active`); raises OverflowError where one
-    would run past the coefficients."""
+    (values, trunc_bounds) arrays, each element stopped by
+    `_sum_to_smallest`; raises OverflowError where one would run past the
+    coefficients."""
     pref, coeffs = _f2_alg_coeffs(a, b, c)
-    total, bound = np.zeros(x.shape), np.zeros(x.shape)
-    last = np.full(x.shape, math.inf)
-    active = np.ones(x.shape, dtype=bool)
-    for k, ck in enumerate(coeffs):
-        t = ck * np.power(x, -a - k)
-        at = np.abs(t)
-        np.copyto(bound, at, where=active)
-        active &= ~(at > last)
-        np.add(total, t, out=total, where=active)
-        last = at
+    total, bound, _, active = _sum_to_smallest(
+        (ck * np.power(x, -a - k) for k, ck in enumerate(coeffs)), x.shape)
     if len(coeffs) <= _F2_KMAX and active.any():
         raise OverflowError("1F2 algebraic coefficient overflows a double")
     return pref * total, pref * bound
@@ -338,23 +350,11 @@ def _f2_alg_series(a: float, b: float, c: float, x: np.ndarray):
 
 def _f2_osc_series(a: float, b: float, c: float, u: np.ndarray):
     """The oscillatory sum s = sum_k g_k u^{-k} on an array u = sqrt(x),
-    stopped like `_f2_alg_series`; returns (re, im, trunc, mag): s, the
+    stopped by `_sum_to_smallest`; returns (re, im, trunc, mag): s, the
     modulus of the term it stopped at and the sum of the moduli it kept."""
-    g = _f2_osc_coeffs(a, b, c)
-    re, im, trunc, mag = (np.zeros(u.shape) for _ in range(4))
-    last = np.full(u.shape, math.inf)
-    active = np.ones(u.shape, dtype=bool)
-    for k, gk in enumerate(g):
-        p = np.power(u, -k)
-        t_re, t_im = gk.real * p, gk.imag * p
-        at = np.hypot(t_re, t_im)
-        np.copyto(trunc, at, where=active)
-        active &= ~(at > last)
-        np.add(re, t_re, out=re, where=active)
-        np.add(im, t_im, out=im, where=active)
-        np.add(mag, at, out=mag, where=active)
-        last = at
-    return re, im, trunc, mag
+    s, trunc, mag, _ = _sum_to_smallest(
+        (gk * np.power(u, -k) for k, gk in enumerate(_f2_osc_coeffs(a, b, c))), u.shape, complex)
+    return s.real, s.imag, trunc, mag
 
 
 def _f2_asymptotic(a: float, b: float, c: float, x):

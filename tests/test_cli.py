@@ -276,7 +276,12 @@ def test_domain_error_exits_2_without_output(argv, tmp_path):
     (["gammatype", "exists", "-a", "1", "-b", "1"], "give either a spec or all of -a -b -c -d"),
     (["gammatype", "boundary", "-a", "1", "-b", "1", "--u-from", "2", "--u-to", "3"],
      "u range must start at or above 2.25"),
-], ids=["lommel-alpha", "ws-alpha", "ws-fraction", "exists-no-parameters", "boundary-u-range"])
+    # a zero denominator names its text, on the flag and the spec path
+    (["gammatype", "exists", "-a", "1/0", "-b", "1", "-c", "1", "-d", "1"],
+     "zero denominator in '1/0'"),
+    (["gammatype", "exists", "--spec-json", '{"a": ["2/0"]}'], "zero denominator in '2/0'"),
+], ids=["lommel-alpha", "ws-alpha", "ws-fraction", "exists-no-parameters", "boundary-u-range",
+        "exists-zero-denominator", "spec-zero-denominator"])
 def test_usage_error_text(argv, message, tmp_path, capsys):
     out = tmp_path / "x.out"
     assert run([*argv, "--out", str(out)]) == 2
