@@ -123,9 +123,7 @@ def cmd_verify_ws(args) -> int:
     def row(alpha, frac):
         s = frac * (alpha + 0.5)
         rhs = quad.ws_rhs(alpha, s)
-        # the check is relative, so the integral's absolute tolerance
-        # scales with the closed form's size
-        r = quad.ws_integral(alpha, s, tol=args.tol * 0.1 * rhs)
+        r = quad.ws_integral(alpha, s, tol=args.tol)
         return {
             "alpha": alpha,
             "s": s,

@@ -1,8 +1,10 @@
 """Quadrature engines: adaptive Gauss-Legendre panels, tanh-sinh for
 endpoint singularities, and the oscillatory infinite integrals: the moment
 of cos by its cosine series on [0, pi/2] and an incomplete Gamma continued
-fraction beyond, the squared-Bessel Mellin integral by panels up to a zero
-past the Hankel crossover and a closed-form tail beyond it.
+fraction beyond, the squared-Bessel Mellin integral by the termwise
+integral of the 1F2 power series of J^2 and panels up to its first zero,
+panels per zero gap up to a zero past the Hankel crossover, and a
+closed-form tail beyond it.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ class QuadratureResult:
 
 
 _EPS = 2.0 ** -52
+_LOG2 = math.log(2.0)
 
 
 @lru_cache(maxsize=8)
@@ -299,18 +302,105 @@ def _ws_tail(alpha: float, s: float, z: float) -> tuple:
     return value, hankel_err, cf_bound
 
 
+# The head's power series runs to z0 = min(j_1, 2.5): its largest term,
+# near k = 2, is ~10 times its sum there.  Gauss-Legendre panels at most 8
+# wide cover [z0, j_1]: one panel below alpha ~ 6, five at alpha = 30 (two
+# panels of width 17 are already 3e-13 off there, and 1e-10 at alpha = 45).
+_HEAD_SERIES_Z = 2.5
+_HEAD_PANEL_WIDTH = 8.0
+
+
+def _ws_head(alpha: float, s: float, j1: float) -> tuple:
+    """int_0^{j1} z^{-2s} J_alpha(z)^2 dz = int_0^{j1} c z^p Jnorm(z)^2 dz
+    (see `ws_integral`): its parts, their error estimate and the
+    evaluations they took.
+
+    Jnorm^2 = 1F2(alpha+1/2; alpha+1, 2alpha+1; -z^2) (DLMF 10.8.3), so on
+    [0, z0] the integral is c sum_k (-1)^k tau_k z0^{p1+2k} / (p1+2k), with
+    tau_{k+1} = tau_k (alpha+1/2+k) / ((alpha+1+k) (2alpha+1+k) (k+1)),
+    summed until a term falls below one rounding of the sum of the
+    magnitudes.  The terms alternate and fall from there, so the first
+    neglected one bounds the rest.  For p < 0 the k = 0 term is taken over
+    all of [0, j1] instead, c j1^{p1} / p1 (`lead`), and the panels take
+    c z^p (Jnorm^2 - 1).  J has no zero on [z0, j1], so the integrand is
+    smooth there: 16-point Gauss-Legendre panels, each with its 12-point
+    rule's discrepancy as its estimate.
+
+    Jnorm at a panel node is off by at most the smaller of 8 eps times the
+    sum of its series' magnitudes (at most e^{z^2/(4 alpha + 4)}) and
+    `backend.bessel_j_error_bound` over (0, j1] divided by sqrt(c) z^alpha,
+    plus 8 eps (2 + |log Gamma(alpha+1)| + |alpha log(z/2)|) |Jnorm| for
+    the rounding of its prefactor Gamma(alpha+1) (z/2)^{-alpha}; this is
+    carried through Jnorm^2 with the panel weights.  The exponentials that
+    carry c and the powers of z add 8 eps (1 + |log c| + (|p| + 1)
+    |log j1|) relative to each part.
+    """
+    p1 = math.fsum((2.0 * alpha, 1.0, -2.0 * s))     # p + 1, rounded once
+    p = p1 - 1.0
+    log_c = -2.0 * ln_gamma(alpha + 1.0) - alpha * math.log(4.0)
+    one = 1.0 if p < 0.0 else 0.0
+    log_j1 = math.log(j1)
+    z0 = min(j1, _HEAD_SERIES_Z)
+    lead = math.exp(log_c + p1 * log_j1) / p1 if p < 0.0 else 0.0
+    x = -z0 * z0
+    t = math.exp(log_c + p1 * math.log(z0))     # c tau_k (-z0^2)^k z0^{p1}
+    terms = [] if p < 0.0 else [t / p1]
+    mass = sum(map(abs, terms))
+    k = 0
+    while True:
+        t *= (alpha + 0.5 + k) * x / ((alpha + 1.0 + k) * (2.0 * alpha + 1.0 + k) * (k + 1))
+        k += 1
+        term = t / (p1 + 2.0 * k)
+        if abs(term) <= _EPS * mass:
+            break
+        terms.append(term)
+        mass += abs(term)
+    parts = [lead, math.fsum(terms)]
+    est = abs(term) + 4.0 * _EPS * mass
+    evals = len(terms)
+
+    count = math.ceil((j1 - z0) / _HEAD_PANEL_WIDTH)
+    dj = backend.bessel_j_error_bound(alpha, j1) if count else 0.0
+    log_gamma = abs(ln_gamma(alpha + 1.0))
+
+    def node(z):
+        """The integrand at z and its error from Jnorm's."""
+        lz = math.log(z)
+        jn = backend.bessel_j_normalized(alpha, z)
+        cz = math.exp(log_c + p * lz)
+        dn = min(8.0 * _EPS * math.exp(z * z / (4.0 * alpha + 4.0)),
+                 dj * math.exp(-0.5 * log_c - alpha * lz)) \
+            + 8.0 * _EPS * (2.0 + log_gamma + abs(alpha * (lz - _LOG2))) * abs(jn)
+        return cz * (jn * jn - one), cz * (2.0 * abs(jn) + dn) * dn
+
+    r = 0.5 * (j1 - z0) / max(count, 1)
+    xs, ws = _gl_nodes(16)
+    xc, wc = _gl_nodes(12)
+    for i in range(count):
+        m = z0 + (2 * i + 1) * r
+        fine = [node(m + r * x) for x in xs]
+        parts.append(r * math.fsum(w * f for w, (f, _) in zip(ws, fine)))
+        coarse = r * math.fsum(w * node(m + r * x)[0] for x, w in zip(xc, wc))
+        est += abs(parts[-1] - coarse) + r * math.fsum(w * e for w, (_, e) in zip(ws, fine))
+        evals += 28
+    est += 8.0 * _EPS * (1.0 + abs(log_c) + (abs(p) + 1.0) * abs(log_j1)) \
+        * math.fsum(map(abs, parts)) + _EPS * abs(lead)
+    return parts, est, evals
+
+
 def ws_integral(alpha: float, s: float, tol: float = 1e-9) -> QuadratureResult:
     """integral_0^inf z^{-2s} J_alpha(z)^2 dz for 0 < s < alpha + 1/2.
 
     On the head [0, j_1], z^{-2s} J^2 = c z^p Jnorm(z)^2 with p = 2 alpha -
     2s, c = 4^{-alpha} / Gamma(alpha+1)^2 and Jnorm = `bessel_j_normalized`
-    (1 at z = 0), integrated by tanh-sinh.  For p < 0 the leading power
-    c z^p integrates in closed form, c j_1^{p+1} / (p+1), and tanh-sinh
-    takes only c z^p (Jnorm^2 - 1), which vanishes like z^{p+2}: as
-    p + 1 -> 0 nearly all of the head's mass sits below its smallest node
-    (~1e-167 j_1), where the closed form counts it.  (For p >= 0 the
-    closed form would exceed the head by up to ~1e8 at large alpha, and
-    the cancellation would cost as many digits.)  The smooth envelope mean
+    (1 at z = 0), integrated term by term from the power series of
+    Jnorm^2 up to min(j_1, 2.5) and by Gauss-Legendre panels beyond
+    (`_ws_head`).  For p < 0 the leading power c z^p integrates in closed
+    form over all of [0, j_1], c j_1^{p+1} / (p+1), with p + 1 rounded
+    once from 2 alpha, 1 and -2s, so the head's mass near 0 is counted
+    to a few ulps as p + 1 -> 0.  (For p >= 0 that closed form would exceed
+    the head by up to ~1e8 at large alpha, and the cancellation would cost
+    as many digits.)  The smooth envelope mean
     (1/(pi z))(1 + (mu-1)/(8 z^2)) integrates in closed form over
     [j_1, inf).  The oscillatory remainder is integrated by one 16-point
     Gauss-Legendre panel per gap between consecutive zeros, from j_1 to Z,
@@ -323,25 +413,23 @@ def ws_integral(alpha: float, s: float, tol: float = 1e-9) -> QuadratureResult:
     fixed-point J.
 
     `abs_error_estimate` is the sum of
-      - the head's tanh-sinh estimate;
+      - the head's estimate: the series' first neglected term and 4 eps
+        times its terms' magnitudes, each head panel's 16- vs 12-point
+        discrepancy, Jnorm's error carried through Jnorm^2, and the
+        roundings of the exponentials that carry c, the powers of z and
+        p + 1 (`_ws_head`);
       - the Hankel truncation of the tail: by DLMF 10.17(iii) the
         remainders of P and Q are bounded by their first neglected terms,
         carried through J^2 (`_ws_tail`);
       - the truncation of the tail's continued fraction, relative to the
         terms it feeds;
-      - the kernel accuracy: on each zero gap, z^{-2s} (2|J| + d) d summed
+      - the kernel accuracy on each zero gap, z^{-2s} (2|J| + d) d summed
         with the panel weights, d = `backend.bessel_j_error_bound` at the
         gap's right end (the power series near j_crossover is off by up to
-        ~1e-12), plus 8 eps (1 + |log c| + (|p| + 1) |log j_1|) times the
-        head's two parts for the exponentials that carry its prefactor c
-        and powers, plus eps (|p| + 1) / (p + 1) times the closed-form
-        part for the rounding of p + 1;
+        ~1e-12);
       - 4 eps times the sum of the parts' magnitudes.
 
-    `tol` is absolute: `converged` is `abs_error_estimate <= tol`, however
-    small the integral.  Near s = alpha + 1/2 at large alpha the integral
-    is ~1e-12, so `converged=True` there can come with a relative error
-    of 1e-5 (e.g. alpha = 7.665, s = 6.537, tol = 1e-8).
+    `tol` is relative: `converged` is `abs_error_estimate <= tol * |value|`.
     """
     if not alpha > -0.5:
         raise ValueError(f"need alpha > -1/2, got {alpha!r}")
@@ -351,19 +439,7 @@ def ws_integral(alpha: float, s: float, tol: float = 1e-9) -> QuadratureResult:
     mu = 4.0 * alpha * alpha
     j1 = zeros[0]
 
-    # z^{-2s} J^2 = c z^p Jnorm(z)^2; for p < 0, c z^p in closed form
-    log_c = -2.0 * ln_gamma(alpha + 1.0) - alpha * math.log(4.0)
-    c_head = math.exp(log_c)
-    p = 2.0 * alpha - 2.0 * s
-    log_j1 = math.log(j1)
-    one = 1.0 if p < 0.0 else 0.0
-    lead = math.exp(log_c + (p + 1.0) * log_j1) / (p + 1.0) if p < 0.0 else 0.0
-
-    def head_rest(x, dlo, dhi):
-        jn = backend.bessel_j_normalized(alpha, dlo)
-        return c_head * math.exp(p * math.log(dlo)) * (jn * jn - one)
-
-    head = tanh_sinh(head_rest, 0.0, j1, tol=min(tol * 0.1, 1e-12))
+    head, head_err, head_evals = _ws_head(alpha, s, j1)
 
     smooth = j1 ** (-2.0 * s) / (2.0 * math.pi * s) \
         + (mu - 1.0) / (8.0 * math.pi) * j1 ** (-2.0 * s - 2.0) / (2.0 * s + 2.0)
@@ -386,13 +462,10 @@ def ws_integral(alpha: float, s: float, tol: float = 1e-9) -> QuadratureResult:
             kernel_err += r * w * zp * (2.0 * abs(jz) + dj) * dj
         panels.append(r * math.fsum(terms))
     tail, hankel_err, cf_err = _ws_tail(alpha, s, zeros[-1])
-    parts = [lead, head.value, smooth, *panels, tail]
+    parts = [*head, smooth, *panels, tail]
     value = math.fsum(parts)
-    # the exponentials that carry the head's prefactor and powers, and p + 1
-    kernel_err += 8.0 * _EPS * (1.0 + abs(log_c) + (abs(p) + 1.0) * abs(log_j1)) \
-        * (abs(lead) + abs(head.value)) + _EPS * (abs(p) + 1.0) / (p + 1.0) * abs(lead)
-    est = (head.abs_error_estimate + hankel_err + cf_err + kernel_err
+    est = (head_err + hankel_err + cf_err + kernel_err
            + 4.0 * _EPS * math.fsum(abs(v) for v in parts))
     return QuadratureResult(value=value, abs_error_estimate=est,
-                            evaluations=head.evaluations + 16 * len(panels),
-                            converged=est <= tol)
+                            evaluations=head_evals + 16 * len(panels),
+                            converged=est <= tol * abs(value))

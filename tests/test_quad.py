@@ -121,7 +121,7 @@ class TestFresnelMoment:
         r = quad.fresnel_cos_moment(mu)
         assert abs(r.value - oracles.gamma_cos_moment(mu)) <= r.abs_error_estimate
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     def test_error_within_estimate_property(self, mu):
         r = quad.fresnel_cos_moment(mu)
@@ -194,11 +194,15 @@ class TestWsIntegral:
         assert short == []
 
     @pytest.mark.parametrize("alpha, s", [
-        # 2 alpha - 2s + 1 = 0.018: below the head's smallest tanh-sinh node
-        # lay 3.9e-2 of the integral's 54.55
+        # 2 alpha - 2s + 1 = 0.018: below the smallest node of a tanh-sinh
+        # head lay 3.9e-2 of the integral's 54.55
         (-0.4821, 0.00895),
         # 1e-3 inside the strip's right edge
         (2.0, 2.499),
+        # p + 1 = 3.3e-7, 6e-6 and 1.1e-4: formed as (2 alpha - 2s) + 1 it
+        # left the integral up to 1.7e-10 off
+        *[(alpha, alpha + 0.5 - 0.5 * p1) for alpha in (-0.45, -0.3, -0.1317, -0.01)
+          for p1 in (3.3e-7, 6e-6, 1.1e-4)],
     ])
     def test_head_mass_near_zero(self, alpha, s):
         # the head's leading power c z^p is integrated in closed form, so
@@ -207,16 +211,52 @@ class TestWsIntegral:
         want = _ws_closed_form(alpha, s)
         err = float(abs(r.value - want))
         assert err <= r.abs_error_estimate
-        assert err <= 1e-12 * float(want)
+        assert err <= 1e-13 * float(want)
 
-    # (value, abs_error_estimate) as float.hex, and evaluations: the panels
-    # end at the first zero past j_crossover(alpha) and the tail past it
-    # is summed in closed form
+    def test_head_takes_no_tanh_sinh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ws_integral called tanh_sinh")
+
+        monkeypatch.setattr(quad, "tanh_sinh", refuse)
+        for alpha, s in ((-0.3, 0.1), (0.5, 0.25), (2.37, 1.1), (12.0, 6.0)):
+            quad.ws_integral(alpha, s)
+
+    # j_1 = 2.5 at alpha = 0.0621100802...: below it the head's power series
+    # reaches j_1, above it panels take [2.5, j_1]
+    @pytest.mark.parametrize("alpha", [0.06111008024269475, 0.06211008024269475,
+                                       0.06311008024269475])
+    @pytest.mark.parametrize("frac", [0.01, 0.5, 0.999])
+    def test_estimate_across_series_panel_switch(self, alpha, frac):
+        s = frac * (alpha + 0.5)
+        r = quad.ws_integral(alpha, s)
+        want = _ws_closed_form(alpha, s)
+        err = float(abs(r.value - want))
+        assert err <= r.abs_error_estimate
+        assert err <= 1e-13 * float(want)
+
+    def test_estimate_bounds_the_error_to_alpha_30(self):
+        # 20 seeded points with alpha in (-0.49, 30] and s anywhere in the
+        # strip but its outer thousandths
+        rnd = random.Random(31)
+        short = []
+        for _ in range(20):
+            alpha = rnd.uniform(-0.49, 30.0)
+            s = rnd.uniform(1e-3, 1.0 - 1e-3) * (alpha + 0.5)
+            r = quad.ws_integral(alpha, s)
+            err = float(abs(r.value - _ws_closed_form(alpha, s)))
+            if not err <= r.abs_error_estimate:
+                short.append((alpha, s, err, r.abs_error_estimate))
+        assert short == []
+
+    # (value, abs_error_estimate) as float.hex, and evaluations: the head's
+    # series terms and 28 per head panel, then 16 per zero gap up to the
+    # first zero past j_crossover(alpha); the tail past it is summed in
+    # closed form
     FROZEN_BITS = [
-        ((0.5, 0.25), ("0x1.20dd750429b6dp+0", "0x1.294afb96e4956p-47", 241)),
-        ((1.0, 0.4), ("0x1.288d909f832d9p-1", "0x1.01db774ab1100p-39", 241)),
-        ((7.3, 3.0), ("0x1.65dae961e11b6p-20", "0x1.af207e9308178p-55", 209)),
-        ((2.37, 1.1), ("0x1.8951416fe8b09p-5", "0x1.4588093a28954p-45", 225)),
+        ((0.5, 0.25), ("0x1.20dd750429b6ep+0", "0x1.d24e6e3cca779p-47", 107)),
+        ((1.0, 0.4), ("0x1.288d909f832dap-1", "0x1.024447092f56dp-39", 107)),
+        ((7.3, 3.0), ("0x1.65dae961e11b6p-20", "0x1.38fee43f9df10p-59", 100)),
+        ((2.37, 1.1), ("0x1.8951416fe8b08p-5", "0x1.4d76dbe4277fdp-45", 90)),
     ]
 
     @pytest.mark.parametrize("args, want", FROZEN_BITS)
