@@ -23,6 +23,7 @@ from .specfun import (
     bessel_j_normalized,
     digamma,
     f2_tail_profile,
+    hyp1f2_screened,
     hyp1f2_with_bound,
     ln_gamma,
     ln_gamma_complex,
@@ -427,12 +428,14 @@ class ScanOutcome:
 
 
 _SCAN_X_CAP = 1e8
-# The scan evaluates one point per hyp1f2_with_bound call below this x and
-# _SCAN_CHUNK grid points per array call past it.  Hits lie low: on
+# The scan evaluates one point per hyp1f2_screened call below this x and
+# _SCAN_CHUNK grid points per array call from it on.  Hits lie low: on
 # existence benchmark seeds 1 and 5, all 78 verified witnesses lie below
-# x = 160, and marching there point by point, stopping at the hit, skips
-# 3,158 of the 10,390 evaluations a whole chunk would make.
-_SCAN_SPLIT_X = 160.0
+# x = 160, and marching point by point, stopping at the hit, skips most of
+# the evaluations a whole chunk would make.  At x = 110 the double series
+# stops; from there one array call screens the band up to x = 160 by the
+# large-x expansion, where point by point each fixed-point sum took ~70 us.
+_SCAN_SPLIT_X = 110.0
 _SCAN_CHUNK = 1024
 
 
@@ -456,10 +459,15 @@ def f2_nonneg_scan(A: float, B: float, C: float) -> ScanOutcome:
     when it strictly dominates the oscillatory envelope x^{nu/2}
     (coefficient Q > 0), and the scan stops at the profile's horizon.
 
-    Below x = 160 every point is one float hyp1f2_with_bound call, and the
-    march stops at the first hit.  Past it, each chunk of 1024 grid points
-    is one array hyp1f2_with_bound call (the same bits point by point),
-    and the first point with v < -8 bound is the hit.
+    Below x = 110 every point is one float hyp1f2_screened call, and the
+    march stops at the first hit.  From there, each chunk of 1024 grid
+    points is one array hyp1f2_screened call (the same bits point by
+    point), and the first point with v < -8 bound is the hit.  The screen
+    returns (value, inf) where the double series (x < 110) or the large-x
+    expansion (110 <= x < 160) shows the value above 8 times its bound,
+    and hyp1f2_with_bound's pair elsewhere: a screened point is positive,
+    so it is neither a hit nor negative, and every outcome is the one
+    hyp1f2_with_bound alone gives.
     """
     if not (A > 0.0 and B > 0.0 and C > 0.0):
         raise ValueError("need positive parameters")
@@ -487,11 +495,11 @@ def f2_nonneg_scan(A: float, B: float, C: float) -> ScanOutcome:
             xs.append(y * y)
             y += dy
         if large:
-            vs, bnds = hyp1f2_with_bound(A, B, C, -np.array(xs))
+            vs, bnds = hyp1f2_screened(A, B, C, -np.array(xs))
         else:
             pts = []
             for x in xs:
-                pts.append(hyp1f2_with_bound(A, B, C, -x))
+                pts.append(hyp1f2_screened(A, B, C, -x))
                 if pts[-1][0] < -8.0 * pts[-1][1]:
                     break
             vs, bnds = np.array(pts).T

@@ -33,6 +33,7 @@ __all__ = [
     "zero_tail_power_sum",
     "hyp1f2",
     "hyp1f2_with_bound",
+    "hyp1f2_screened",
     "F2TailProfile",
     "f2_tail_profile",
 ]
@@ -389,12 +390,20 @@ def _f2_asymptotic(a: float, b: float, c: float, x):
     return float(val[0]), float(bound[0])
 
 
+# the double series is tried only for x > -_F2_SERIES_MAX_X: past |x| ~ 110
+# it cancels away all its digits (the sum would still run its full length)
+_F2_SERIES_MAX_X = 110.0
 # the large-x expansion takes over from the fixed-point series here
 _F2_ASYM_MIN_X = 160.0
 
 # accuracy target of hyp1f2: a bound of at most max(_TARGET_ABS, _TARGET_REL |value|)
 _TARGET_ABS = 1e-11
 _TARGET_REL = 1e-12
+
+# hyp1f2_screened takes a cheaper enclosure as proof of a positive value
+# where the value exceeds this many bounds: the margin at which
+# gammatype.f2_nonneg_scan takes a negative value as a verified hit
+_F2_SCREEN_MARGIN = 8.0
 
 # term cap of the fixed-point series: x = -1.45e6 takes about 4,400 terms,
 # and past x ~ -2.7e6 it would need more
@@ -408,21 +417,54 @@ def _f2_highprec_series(a: float, b: float, c: float, x: float):
     return backend.hyp1f2_fixed_point(a, b, c, x, (1, 1), _F2_HP_TERMS)
 
 
+def _hyp1f2_array(a: float, b: float, c: float, x: np.ndarray, screen: bool):
+    """The 1-D array body of hyp1f2_with_bound and, with `screen`, of
+    hyp1f2_screened: each element is the float call's pair.  The elements
+    x <= -_F2_ASYM_MIN_X (with `screen`, x <= -_F2_SERIES_MAX_X), given
+    a, b, c > 0, go through one array `_f2_asymptotic` call.  The elements
+    it leaves open (bound off the target from _F2_ASYM_MIN_X on, not
+    screened below it) take one hyp1f2_with_bound call each, which for a
+    band element is the fixed-point series; all other elements, and every
+    element where the array call raises OverflowError, take one float call
+    of the function whose body this is."""
+    vals, bounds = np.empty(x.shape), np.empty(x.shape)
+    rest = np.ones(x.shape, dtype=bool)
+    tried = np.zeros(x.shape, dtype=bool)
+    lo = _F2_SERIES_MAX_X if screen else _F2_ASYM_MIN_X
+    large = np.flatnonzero(x <= -lo) if min(a, b, c) > 0.0 else []
+    if len(large):
+        try:
+            v, bnd = _f2_asymptotic(a, b, c, -x[large])
+        except OverflowError:   # the expansion leaves the double range
+            pass
+        else:
+            band = x[large] > -_F2_ASYM_MIN_X
+            shown = band & (v > _F2_SCREEN_MARGIN * bnd)
+            vals[large], bounds[large] = v, np.where(shown, math.inf, bnd)
+            missed = bnd > np.maximum(_TARGET_ABS, _TARGET_REL * np.abs(v))
+            rest[large] = ~shown & (band | missed)
+            tried[large] = True
+    for i in np.flatnonzero(rest):
+        point = hyp1f2_screened if screen and not tried[i] else hyp1f2_with_bound
+        vals[i], bounds[i] = point(a, b, c, float(x[i]))
+    return vals, bounds
+
+
 def hyp1f2_with_bound(a: float, b: float, c: float, x: "float | np.ndarray"):
     """1F2(a; b, c; x) with an absolute error bound.
 
-    Route: direct double series while its cancellation bound meets the
-    target (_TARGET_ABS, _TARGET_REL); the large-x expansion for
-    x <= -_F2_ASYM_MIN_X when its bound meets the target; otherwise the
-    exact fixed-point series, whose bound is half an ulp of its correctly
-    rounded value plus about 1e-50, or the expansion where its bound is
-    smaller.  The expansion's Gamma prefactor needs a, b, c > 0, so any
-    other parameters go to the fixed-point series at every large x, as do
-    points where the expansion leaves the double range (`_f2_asymptotic`
-    raises OverflowError).  Past x ~ -2.7e6 the fixed-point series
-    declines (nan, inf bound), so where the expansion misses the target
-    there, or does not apply, the bound misses it too and `hyp1f2` raises
-    AccuracyError.
+    Route: direct double series for x > -_F2_SERIES_MAX_X (110) while its
+    cancellation bound meets the target (_TARGET_ABS, _TARGET_REL); the
+    large-x expansion for x <= -_F2_ASYM_MIN_X (160) when its bound meets
+    the target; otherwise the exact fixed-point series, whose bound is
+    half an ulp of its correctly rounded value plus about 1e-50, or the
+    expansion where its bound is smaller.  The expansion's Gamma prefactor
+    needs a, b, c > 0, so any other parameters go to the fixed-point
+    series at every large x, as do points where the expansion leaves the
+    double range (`_f2_asymptotic` raises OverflowError).  Past
+    x ~ -2.7e6 the fixed-point series declines (nan, inf bound), so where
+    the expansion misses the target there, or does not apply, the bound
+    misses it too and `hyp1f2` raises AccuracyError.
 
     A 1-D ndarray x gives (values, bounds) arrays, each element the float
     call's bits: the elements x <= -_F2_ASYM_MIN_X (with a, b, c > 0) go
@@ -432,25 +474,10 @@ def hyp1f2_with_bound(a: float, b: float, c: float, x: "float | np.ndarray"):
     """
     _f2_pole_check(b, c)
     if isinstance(x, np.ndarray):
-        vals, bounds = np.empty(x.shape), np.empty(x.shape)
-        rest = np.ones(x.shape, dtype=bool)
-        large = np.flatnonzero(x <= -_F2_ASYM_MIN_X) if min(a, b, c) > 0.0 else []
-        if len(large):
-            try:
-                v, bnd = _f2_asymptotic(a, b, c, -x[large])
-            except OverflowError:   # the expansion leaves the double range
-                pass
-            else:
-                vals[large], bounds[large] = v, bnd
-                rest[large] = bnd > np.maximum(_TARGET_ABS, _TARGET_REL * np.abs(v))
-        for i in np.flatnonzero(rest):
-            vals[i], bounds[i] = hyp1f2_with_bound(a, b, c, float(x[i]))
-        return vals, bounds
+        return _hyp1f2_array(a, b, c, x, screen=False)
     if x == 0.0:
         return 1.0, 0.0
-    # past |x| ~ 110 the double series cancels away all its digits; do not
-    # even attempt it (the sum would still run its full length)
-    if x > -110.0:
+    if x > -_F2_SERIES_MAX_X:
         val, bound, _ = backend.hyp1f2_series(a, b, c, x)
         if x > 0.0 or bound <= max(_TARGET_ABS, _TARGET_REL * abs(val)):
             return val, bound
@@ -467,6 +494,47 @@ def hyp1f2_with_bound(a: float, b: float, c: float, x: "float | np.ndarray"):
     if abound < hbound:
         return aval, abound
     return hval, hbound
+
+
+def hyp1f2_screened(a: float, b: float, c: float, x: "float | np.ndarray"):
+    """hyp1f2_with_bound's pair, except where a cheaper enclosure shows the
+    value positive: then (value, inf), "positive, no accuracy claimed".
+
+    Only points -_F2_ASYM_MIN_X < x < 0 whose hyp1f2_with_bound pair comes
+    from the fixed-point series are screened.  Below |x| =
+    _F2_SERIES_MAX_X the enclosure is the double series' pair, which that
+    route computes anyway; from there (a, b, c > 0) it is the large-x
+    expansion's.  It screens a point when its value exceeds
+    _F2_SCREEN_MARGIN (8) times its bound; else the point takes the
+    fixed-point series, as in hyp1f2_with_bound.  For |x| < 160 the
+    expansion's bound can fall short of its error (by up to ~3 % where
+    measured), so a screened point keeps no bound; the margin covers the
+    shortfall.  A screened value is thus > 0 and cannot pass
+    gammatype.f2_nonneg_scan's hit rule v < -8 bound.
+
+    A 1-D ndarray x gives (values, bounds) arrays, each element the float
+    call's bits, with one array `_f2_asymptotic` call for all elements
+    x <= -_F2_SERIES_MAX_X (see `_hyp1f2_array`).
+    """
+    _f2_pole_check(b, c)
+    if isinstance(x, np.ndarray):
+        return _hyp1f2_array(a, b, c, x, screen=True)
+    ax = -x
+    if not 0.0 < ax < _F2_ASYM_MIN_X:
+        return hyp1f2_with_bound(a, b, c, x)
+    val, bound = math.nan, math.inf
+    if ax < _F2_SERIES_MAX_X:
+        val, bound, _ = backend.hyp1f2_series(a, b, c, x)
+        if bound <= max(_TARGET_ABS, _TARGET_REL * abs(val)):
+            return val, bound
+    elif min(a, b, c) > 0.0:
+        try:
+            val, bound = _f2_asymptotic(a, b, c, ax)
+        except OverflowError:   # the expansion leaves the double range
+            pass
+    if val > _F2_SCREEN_MARGIN * bound:
+        return val, math.inf
+    return _f2_highprec_series(a, b, c, x)
 
 
 def hyp1f2(a: float, b: float, c: float, x: float) -> float:

@@ -295,8 +295,56 @@ class TestScan:
         v, bound = specfun.hyp1f2_with_bound(a + b, c + b, d + b, -out.witness)
         assert v < -bound
 
+    # gap-band quartets (a, b, c, d) of the existence benchmark, whose scans
+    # cover Negative witnesses below x = 64 and Nonnegative marches
+    # through the screened band
+    QUARTETS = [
+        (1.047, 1.104, 1.253, 5.27), (1.767, 1.936, 2.069, 7.189), (1.393, 0.336, 1.78, 4.719),
+        (0.978, 1.112, 1.394, 4.46), (1.02, 0.512, 1.187, 4.689), (0.59, 1.676, 0.999, 4.976),
+        (1.64, 1.734, 1.953, 7.121), (0.356, 1.184, 0.648, 4.873), (0.888, 0.678, 1.158, 5.047),
+        (1.014, 0.639, 1.119, 5.525), (1.015, 0.937, 1.43, 4.76), (0.784, 0.538, 1.032, 5.253),
+        (0.513, 1.149, 0.952, 3.115), (1.502, 0.37, 1.913, 4.485), (0.452, 0.631, 0.702, 3.877),
+        (0.929, 1.096, 1.337, 4.974), (1.244, 1.629, 1.406, 5.981), (0.848, 0.982, 1.008, 3.925),
+        (1.026, 1.451, 1.257, 4.232), (0.424, 1.236, 0.462, 3.079), (1.429, 0.324, 1.675, 4.11),
+        (1.223, 1.107, 1.339, 4.527), (1.715, 1.587, 1.817, 5.772), (0.781, 1.99, 1.007, 4.316),
+    ]
+    JITTERS = [(1.0, 1.0, 1.0, 1.0), (1.005, 0.995, 0.995, 1.005), (0.995, 1.005, 1.005, 0.995)]
+
+    def test_screen_keeps_every_outcome(self, monkeypatch):
+        """The screen only skips points it proves positive, so every scan
+        outcome, `detail` included, is the one hyp1f2_with_bound alone
+        gives: on the benchmark quartets at three jitters, on each
+        bisection triple of boundary_f_ab(1, 1, 3.5) and (0.5, 0.5, 3), and
+        on the large-x outcomes above (one witness, x = 158.4, lies in the
+        band the expansion screens)."""
+        triples = [(a + b, c + b, d + b) for q in self.QUARTETS for j in self.JITTERS
+                   for a, b, c, d in [[v * f for v, f in zip(q, j)]]]
+        triples += [case[0] for case in self.SCAN_OUTCOMES]
+        scan = gt.f2_nonneg_scan
+        bisected = []
+        monkeypatch.setattr(gt, "f2_nonneg_scan", lambda *abc: bisected.append(abc) or scan(*abc))
+        gt.boundary_f_ab(1.0, 1.0, 3.5)
+        gt.boundary_f_ab(0.5, 0.5, 3.0)
+        monkeypatch.undo()
+        triples += bisected
+        screened = [scan(*abc) for abc in triples]
+        monkeypatch.setattr(gt, "hyp1f2_screened", specfun.hyp1f2_with_bound)
+        assert screened == [scan(*abc) for abc in triples]
+        assert {out.kind for out in screened} == {"Negative", "Nonnegative", "Indeterminate"}
+
 
 class TestExistsD:
+    # seed 162 of the existence benchmark jitters its quartet q09 to this
+    # point, just across the boundary: a shallow trough (1F2 ~ -3.3e-12
+    # at the witness, -1.15e-4 at its minimum near x = 28.76) that a
+    # screen must never hide
+    def test_near_boundary_trough(self):
+        a, b, c, d = 1.017503, 0.637682, 1.113472, 5.504078
+        verdict = gt.exists_D(a, b, c, d)
+        assert (verdict.state, verdict.reason) == ("NotExists", "scan-negative")
+        assert 27.6 <= verdict.witness <= 27.7
+        assert oracles.mp_hyp1f2(a + b, c + b, d + b, -verdict.witness) < 0.0
+
     def test_acceptance_trio(self):
         assert gt.exists_D(1, 1, 3, 1.5).state == "Exists"
         v = gt.exists_D(1, 1, 2, 2)

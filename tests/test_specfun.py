@@ -607,11 +607,11 @@ class TestHyp1F2:
         want = oracles.mp_hyp1f2(a, b, c, -xi)
         assert abs(values.ravel()[0] - want) <= bounds.ravel()[0]
 
-    # an array x gives each element the float call's bits, on every route:
-    # x = 0, x > 0, the bands (-110, 0), [-160, -110] and <= -160, a point
-    # whose expansion bound misses the target (0.5, 3, 8 at 200),
-    # parameters the expansion does not take (b < 0), and a chunk on which
-    # the expansion overflows (a = 100)
+    # an array x gives each element the float call's bits, on every route
+    # and with or without the screen: x = 0, x > 0, the bands (-110, 0),
+    # [-160, -110] and <= -160, a point whose expansion bound misses the
+    # target (0.5, 3, 8 at 200), parameters the expansion does not take
+    # (b < 0), and a chunk on which the expansion overflows (a = 100)
     @given(a=st.floats(0.3, 4.0), b=st.floats(0.3, 4.0), c=st.floats(0.3, 4.0),
            xs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 50.0),
                                  st.floats(-110.0, 0.0, exclude_max=True),
@@ -622,11 +622,12 @@ class TestHyp1F2:
     @example(a=1.0, b=-0.5, c=2.0, xs=[-200.0, -300.0, -50.0])
     @example(a=100.0, b=1.5, c=2.5, xs=[-200.0, -400.0, -130.0, 3.0])
     def test_array_matches_float_calls(self, a, b, c, xs):
-        values, bounds = specfun.hyp1f2_with_bound(a, b, c, np.array(xs))
-        assert values.shape == bounds.shape == (len(xs),)
-        want = [specfun.hyp1f2_with_bound(a, b, c, x) for x in xs]
-        assert [(v.hex(), bound.hex()) for v, bound in zip(values.tolist(), bounds.tolist())] \
-            == [(v.hex(), bound.hex()) for v, bound in want]
+        for f in (specfun.hyp1f2_with_bound, specfun.hyp1f2_screened):
+            values, bounds = f(a, b, c, np.array(xs))
+            assert values.shape == bounds.shape == (len(xs),)
+            want = [f(a, b, c, x) for x in xs]
+            assert [(v.hex(), bound.hex()) for v, bound in zip(values.tolist(), bounds.tolist())] \
+                == [(v.hex(), bound.hex()) for v, bound in want], f.__name__
 
     def test_array_takes_one_expansion_call(self, monkeypatch):
         calls = []
@@ -635,6 +636,51 @@ class TestHyp1F2:
                             lambda *args: calls.append(args[3]) or asym(*args))
         specfun.hyp1f2_with_bound(1.3, 2.0, 2.4, np.array([-50.0, -200.0, -130.0, -2.0e4]))
         assert len(calls) == 1 and calls[0].tolist() == [200.0, 2.0e4]
+
+    # the screen tries the expansion on the band [-160, -110] too, in the
+    # same one call, and sums no fixed-point series where it shows the
+    # value positive (1.3, 2.0, 2.4 at -130)
+    def test_screened_array_takes_one_expansion_call(self, monkeypatch):
+        calls, fixed_point = [], []
+        asym, hp = specfun._f2_asymptotic, specfun._f2_highprec_series
+        monkeypatch.setattr(specfun, "_f2_asymptotic",
+                            lambda *args: calls.append(args[3]) or asym(*args))
+        monkeypatch.setattr(specfun, "_f2_highprec_series",
+                            lambda *args: fixed_point.append(args[3]) or hp(*args))
+        values, bounds = specfun.hyp1f2_screened(
+            1.3, 2.0, 2.4, np.array([-50.0, -200.0, -130.0, -2.0e4]))
+        assert len(calls) == 1 and calls[0].tolist() == [200.0, 130.0, 2.0e4]
+        assert fixed_point == [] and bounds[2] == math.inf and values[2] > 0.0
+
+    # the screen on the ranges of the existence scan's parameters: a point
+    # whose cheaper enclosure (the double series below |x| = 110, the
+    # expansion from there) shows v > 8 bound where hyp1f2_with_bound sums
+    # the fixed-point series returns (v, inf), and v is positive; every
+    # other point is hyp1f2_with_bound's pair, bit for bit.  The examples
+    # have bound < v <= 8 bound on either enclosure, so they are not
+    # screened, and sit at both route switches.
+    @given(a=st.floats(0.5, 4.0), b=st.floats(1.0, 9.0), c=st.floats(1.0, 9.0),
+           x=st.floats(-160.0, -40.0, exclude_min=True))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @example(a=3.356, b=2.446, c=5.653, x=-102.52621459960938)
+    @example(a=1.472, b=8.097, c=1.485, x=-144.27)
+    @example(a=3.992, b=8.651, c=4.711, x=-126.37)
+    @example(a=2.0, b=5.0, c=6.0, x=-110.0)
+    @example(a=2.0, b=5.0, c=6.0, x=-math.nextafter(160.0, 0.0))
+    def test_screen_only_shown_positive_points(self, a, b, c, x):
+        got = specfun.hyp1f2_screened(a, b, c, x)
+        want = specfun.hyp1f2_with_bound(a, b, c, x)
+        if x > -110.0:
+            v, bound, _ = backend.hyp1f2_series(a, b, c, x)
+            on_fixed_point = bound > max(1e-11, 1e-12 * abs(v))
+        else:
+            v, bound = specfun._f2_asymptotic(a, b, c, -x)
+            on_fixed_point = True
+        if on_fixed_point and v > 8.0 * bound:
+            assert got == (v, math.inf)
+            assert oracles.series_hyp1f2(a, b, c, x) > 0.0
+        else:
+            assert got == want
 
     def test_tail_profile_horizon(self):
         # the algebraic part dominates from the first candidate, x = 64, on;
