@@ -214,16 +214,12 @@ def ws_rhs(alpha: float, s: float) -> float:
 
 
 def _zeros_through(alpha: float, x: float) -> tuple:
-    """The zeros of J_alpha up to the first one at or past x.
-
-    The count comes from McMahon's j_n ~ beta - (mu - 1)/(8 beta) with
-    beta = (n + alpha/2 - 1/4) pi, solved for j_n >= x; the table grows
-    one zero at a time when it falls short."""
-    beta = 0.5 * (x + math.sqrt(x * x + 0.5 * (4.0 * alpha * alpha - 1.0)))
-    n = max(1, math.ceil(beta / math.pi - 0.5 * alpha + 0.25))
+    """The zeros of J_alpha up to the first one at or past x, read off a
+    table of one zero that doubles until its last zero reaches x."""
+    n = 1
     zeros = bessel_zeros(alpha, n).zeros
     while zeros[-1] < x:
-        n += 1
+        n *= 2
         zeros = bessel_zeros(alpha, n).zeros
     return zeros[:bisect.bisect_left(zeros, x) + 1]
 

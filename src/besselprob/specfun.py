@@ -8,6 +8,7 @@ the hot scalar loops are the kernels of `besselprob.backend`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -50,7 +51,7 @@ bessel_i_normalized = backend.bessel_i_normalized
 
 @dataclass(frozen=True)
 class ZeroTable:
-    """First N positive zeros of J_alpha, strictly increasing."""
+    """First N positive zeros of J_alpha: finite, strictly increasing."""
 
     alpha: float
     zeros: tuple
@@ -58,8 +59,8 @@ class ZeroTable:
     def __post_init__(self):
         zs = tuple(float(z) for z in self.zeros)
         object.__setattr__(self, "zeros", zs)
-        if not zs or zs[0] <= 0.0:
-            raise ValueError("zero table must start with a positive zero")
+        if not zs or not 0.0 < zs[0] or not math.isfinite(zs[-1]):
+            raise ValueError("zero table must hold finite positive zeros")
         for a, b in zip(zs, zs[1:]):
             if not b > a:
                 raise ValueError("zeros must be strictly increasing")
@@ -157,20 +158,32 @@ def bessel_zeros(alpha: float, count: int) -> ZeroTable:
     by bisection.  A zero is accepted as x - dx once the Newton step
     |dx| <= 5e-16 x, usually after one to three J evaluations.  The zeros
     are as accurate as `bessel_j` near them: a few ulps from one unit past
-    `j_crossover`, up to ~1e-12 relative below it.  The grid depends on
-    alpha alone, so the n-th zero does not depend on `count`.  Tables
-    depend only on (alpha, count) and are cached: repeated calls return
-    the same table.
+    `j_crossover`, up to ~1e-12 relative below it.
+
+    The grid depends on alpha alone, so every table is a prefix of any
+    longer one.  Any count is the prefix of the next power of two, and a
+    table of 2^m > 1 zeros resumes the walk of the 2^(m-1) table at
+    k = ceil((j_n - lo) / `_ZERO_STEP`), the point closing the cell of its
+    last zero j_n, with fa = (-1)^n, the sign of J past j_n: the walk and
+    its refinement read only fa's sign.  With j_n within an ulp of a grid
+    point, rounding may move k by one; the cell so added or dropped holds
+    no zero but j_n (the next is more than a cell on), and fa hides j_n,
+    so no zero is skipped or found twice.  Tables are cached: repeated
+    calls return the same table, and `cache_clear` forgets every zero.
     """
     alpha = float(alpha)
+    count = operator.index(count)
     if not alpha > -1.0:
         raise ValueError(f"need alpha > -1, got {alpha!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
+    size = 1 << (count - 1).bit_length()
+    if size != count:
+        return ZeroTable(alpha=alpha, zeros=bessel_zeros(alpha, size).zeros[:count])
     lo = math.sqrt(alpha * (alpha + 2.0)) if alpha > 0.0 else 0.0
-    zeros = []
-    a, fa = lo, 1.0
-    k = 0
+    zeros = list(bessel_zeros(alpha, count // 2).zeros) if count > 1 else []
+    k = math.ceil((zeros[-1] - lo) / _ZERO_STEP) if zeros else 0
+    a, fa = lo + k * _ZERO_STEP, (-1.0) ** len(zeros)
     while len(zeros) < count:
         k += 1
         b = lo + k * _ZERO_STEP

@@ -166,15 +166,6 @@ def hitting_time_lt_product(model: HittingTimeModel, lam: float) -> float:
     return math.exp(-_log_zero_product(model.zeros, 2.0 * lam)[0])
 
 
-@lru_cache(maxsize=64)
-def _zero_prefix(alpha: float, count: int) -> ZeroTable:
-    """The first `count` <= 256 zeros of J_alpha, read off the table of
-    `HittingTimeModel`: the finder's n-th zero depends on its own grid
-    cell only, so these are the zeros `bessel_zeros(alpha, count)` returns."""
-    full = bessel_zeros(alpha, _MODEL_ZEROS)
-    return ZeroTable(full.alpha, full.zeros[:count])
-
-
 def hadamard_cf(model: PowerSemicircle, z: float, truncation: int = 200,
                 axis: str = "real") -> float:
     """The cf as its Hadamard product over the zeros of J_alpha: the first
@@ -183,14 +174,13 @@ def hadamard_cf(model: PowerSemicircle, z: float, truncation: int = 200,
 
     axis="real" evaluates prod (1 - z^2/j^2); axis="imag" evaluates the
     product at the purely imaginary point i*z, i.e. prod (1 + z^2/j^2).
-    Up to 256 zeros come from `_zero_prefix`.
+    The zeros are the first `truncation` of `bessel_zeros`, a prefix of
+    its cached table.
     """
     if axis not in ("real", "imag"):
         raise ValueError(f"axis must be 'real' or 'imag', got {axis!r}")
     y = -z * z if axis == "real" else z * z
-    table = (_zero_prefix(model.alpha, truncation) if 1 <= truncation <= _MODEL_ZEROS
-             else bessel_zeros(model.alpha, truncation))
-    log_p, negative = _log_zero_product(table, y)
+    log_p, negative = _log_zero_product(bessel_zeros(model.alpha, truncation), y)
     val = math.exp(log_p)
     return -val if negative else val
 

@@ -5,11 +5,14 @@ summed from the kept terms of `_hankel_series`).
 
 Each value is `float.hex` as recorded before those loops were shared, when
 every route had its own copy; a refactor of a kernel loop must keep them.
+
+The zeros of J_alpha that `specfun.bessel_zeros` walks are pinned the same
+way, as recorded when each table was walked from scratch for its own count.
 """
 
 import pytest
 
-from besselprob import _kernels_py
+from besselprob import _kernels_py, specfun
 
 HALF = ("bessel_j", "bessel_j_normalized", "bessel_i", "bessel_i_normalized")
 NORMALIZED = ("bessel_j_normalized", "bessel_i_normalized")
@@ -140,3 +143,28 @@ def test_normalized_series_bits(point, want):
 def test_hankel_bits(point, want):
     assert _kernels_py.bessel_j(*point) == _kernels_py.bessel_j_asymptotic(*point)
     _check(HANKEL, point, want)
+
+
+# j_{alpha,n}: below and past j_crossover, at counts that are and are not
+# powers of two; j_{55,1} lies in the fixed-point J band
+ZERO_BITS = [
+    ((0.0, 1), "0x1.33d152e971b40p+1"),
+    ((0.0, 2), "0x1.6148f5b2c2e46p+2"),
+    ((-0.4, 1), "0x1.c03febedf7eb4p+0"),
+    ((-0.4, 60), "0x1.762a06ca403a3p+7"),
+    ((0.5, 3), "0x1.2d97c7f3321d2p+3"),
+    ((1.0, 1), "0x1.ea75575af6f08p+1"),
+    ((1.0, 49), "0x1.357128d08ec76p+7"),
+    ((2.37, 128), "0x1.950dfbd4b2736p+8"),
+    ((7.3, 1), "0x1.6dbb22d260fd2p+3"),
+    ((7.3, 256), "0x1.9772c3773df3cp+9"),
+    ((30.0, 1), "0x1.20c964e2e9c1dp+5"),
+    ((55.0, 1), "0x1.f2a178eff9fb3p+5"),
+    ((55.0, 2), "0x1.10ab116dee707p+6"),
+]
+
+
+@pytest.mark.parametrize("point, want", ZERO_BITS)
+def test_zero_bits(point, want):
+    alpha, n = point
+    assert specfun.bessel_zeros(alpha, n)[n - 1].hex() == want

@@ -1,11 +1,12 @@
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besselprob import quad, specfun
+from besselprob import backend, quad, specfun
 from besselprob.errors import DivergenceError
 
 import oracles
@@ -159,12 +160,24 @@ class TestWsIntegral:
         vals = [quad.ws_integral(0.0, s, tol=1e-7).value for s in (0.2, 0.1, 0.05)]
         assert vals[0] < vals[1] < vals[2]
 
-    def test_zero_table_built_once_per_alpha(self):
+    def test_zero_table_built_once_per_alpha(self, monkeypatch):
+        # the second integral at the same alpha adds no cache miss and walks
+        # no zero: the zero walk makes no backend.bessel_j call
+        walk = [0]
+        inner = backend.bessel_j
+
+        def counted(a, x):
+            walk[0] += 1
+            return inner(a, x)
+
+        monkeypatch.setattr(specfun, "backend",
+                            types.SimpleNamespace(**{**vars(backend), "bessel_j": counted}))
         specfun.bessel_zeros.cache_clear()
         quad.ws_integral(1.35, 0.4, tol=1e-8)
+        misses, calls = specfun.bessel_zeros.cache_info().misses, walk[0]
+        assert misses > 0 and calls > 0
         quad.ws_integral(1.35, 0.9, tol=1e-8)
-        info = specfun.bessel_zeros.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert (specfun.bessel_zeros.cache_info().misses, walk[0]) == (misses, calls)
 
     def test_tail_needs_few_zeros(self, monkeypatch):
         # the panels stop at the first zero past j_crossover(alpha) = 14

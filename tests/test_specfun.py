@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -380,6 +381,59 @@ class TestZeros:
         specfun.bessel_zeros.cache_clear()
         assert specfun.bessel_zeros.cache_info().currsize == 0
 
+    def test_count_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            specfun.bessel_zeros(1.0, 2.5)
+        assert specfun.bessel_zeros(1.0, np.int64(3)) == specfun.bessel_zeros(1.0, 3)
+
+    @pytest.mark.parametrize("alpha", [-0.4, 0.0, 1.0, 3.0, 5.5])
+    def test_request_order_changes_no_zero(self, alpha):
+        # every table is a prefix of any longer one, however the cache
+        # was filled: ascending, descending and shuffled requests agree
+        counts = [1, 2, 3, 7, 8, 49, 64, 100, 128, 200, 256, 300]
+        shuffled = list(counts)
+        random.Random(5).shuffle(shuffled)
+        seen = []
+        for order in (counts, counts[::-1], shuffled):
+            specfun.bessel_zeros.cache_clear()
+            seen.append({n: specfun.bessel_zeros(alpha, n).zeros for n in order})
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+        assert all(seen[0][n] == seen[0][300][:n] for n in counts)
+
+    @pytest.mark.parametrize("alpha", [-0.4, 0.0, 1.0, 3.0, 5.5])
+    def test_growth_walks_past_the_last_cell_only(self, alpha, monkeypatch):
+        # growing 128 -> 256 zeros evaluates J only from the grid point
+        # that closed the 128th zero's cell on, and costs what a cold
+        # 256-zero walk spends past a cold 128-zero one
+        xs = []
+        inner = backend.bessel_j
+
+        def counted(a, x):
+            xs.append(x)
+            return inner(a, x)
+
+        monkeypatch.setattr(backend, "bessel_j", counted)
+        cold = {}
+        for n in (128, 256):
+            specfun.bessel_zeros.cache_clear()
+            xs.clear()
+            specfun.bessel_zeros(alpha, n)
+            cold[n] = len(xs)
+        # a cleared cache walks from the first cell
+        lo = math.sqrt(alpha * (alpha + 2.0)) if alpha > 0.0 else 0.0
+        assert xs[0] == lo + specfun._ZERO_STEP
+        specfun.bessel_zeros.cache_clear()
+        j128 = specfun.bessel_zeros(alpha, 128)[127]
+        xs.clear()
+        specfun.bessel_zeros(alpha, 256)
+        assert len(xs) == cold[256] - cold[128]
+        assert min(xs) > j128
+        # and no point is evaluated twice across the doublings of a cold walk
+        specfun.bessel_zeros.cache_clear()
+        xs.clear()
+        specfun.bessel_zeros(alpha, 256)
+        assert len(set(xs)) == len(xs)
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.37])
     def test_scalar_calls_per_zero(self, alpha, monkeypatch):
         # a Newton step that has converged is accepted, not bisected away
@@ -391,7 +445,8 @@ class TestZeros:
             return inner(a, z)
 
         monkeypatch.setattr(backend, "bessel_j", counted)
-        specfun.bessel_zeros.__wrapped__(alpha, 49)
+        specfun.bessel_zeros.cache_clear()
+        specfun.bessel_zeros(alpha, 49)
         assert calls[0] <= 5 * 49
 
     @settings(max_examples=3, deadline=None, derandomize=True)
@@ -403,7 +458,8 @@ class TestZeros:
         # below j_crossover the series band limits the zeros to ~1e-12;
         # the Hankel expansion is a few ulps from one unit past it on
         crossover = _kernels_py.j_crossover(alpha)
-        for k, z in enumerate(specfun.bessel_zeros.__wrapped__(alpha, 49).zeros, start=1):
+        specfun.bessel_zeros.cache_clear()
+        for k, z in enumerate(specfun.bessel_zeros(alpha, 49).zeros, start=1):
             err = float(abs(z - oracles.bessel_j_zero(alpha, k, z)))
             assert err <= 1e-12 * z, (alpha, k, z)
             if z >= crossover:
@@ -415,7 +471,8 @@ class TestZeros:
     def test_large_order_zeros_against_mpmath(self, alpha):
         # McMahon's guess at n = 1 lies past j_1 from alpha ~ 53 on; the grid
         # walk from sqrt(alpha (alpha + 2)) < j_1 must not skip it
-        zeros = specfun.bessel_zeros.__wrapped__(alpha, 16).zeros
+        specfun.bessel_zeros.cache_clear()
+        zeros = specfun.bessel_zeros(alpha, 16).zeros
         for k, z in enumerate(zeros, start=1):
             ref = oracles.bessel_j_zero(alpha, k, z)
             assert float(abs(z - ref)) <= 1e-12 * z, (alpha, k, z, float(ref))
@@ -435,15 +492,44 @@ class TestZeros:
         monkeypatch.setattr(backend, "bessel_j", fake_j)
         monkeypatch.setattr(backend, "bessel_j_prime",
                             lambda a, x: math.pi / g * math.cos(math.pi * x / g))
-        zeros = specfun.bessel_zeros.__wrapped__(0.5, 3).zeros
+        specfun.bessel_zeros.cache_clear()
+        try:
+            zeros = specfun.bessel_zeros(0.5, 3).zeros
+        finally:
+            specfun.bessel_zeros.cache_clear()   # the fake zeros must not outlive the test
         assert zeros[0] == g
         assert zeros[1:] == pytest.approx([2.0 * g, 3.0 * g], rel=1e-14)
+
+    @pytest.mark.parametrize("ulps", [0, 1])
+    def test_zero_within_an_ulp_of_a_grid_point(self, ulps, monkeypatch):
+        # J = sin(pi x / g), g = x_1 + ulps ulps: sin(pi) > 0 at x = x_1, so
+        # j_1 is found in the second cell but refined to an ulp below x_1
+        # (ulps = 0) or to x_1 + ulp.  The walk resumed past j_1 neither
+        # skips a zero nor finds j_1 again.
+        g = specfun._ZERO_STEP     # x_1 at alpha = 0
+        for _ in range(ulps):
+            g = math.nextafter(g, math.inf)
+        monkeypatch.setattr(backend, "bessel_j", lambda a, x: math.sin(math.pi * x / g))
+        monkeypatch.setattr(backend, "bessel_j_prime",
+                            lambda a, x: math.pi / g * math.cos(math.pi * x / g))
+        specfun.bessel_zeros.cache_clear()
+        try:
+            j1 = specfun.bessel_zeros(0.0, 1)[0]
+            zeros = specfun.bessel_zeros(0.0, 4).zeros
+        finally:
+            specfun.bessel_zeros.cache_clear()   # the fake zeros must not outlive the test
+        assert abs(j1 - g) <= math.ulp(g)
+        assert zeros == pytest.approx([g, 2.0 * g, 3.0 * g, 4.0 * g], rel=1e-14)
 
     def test_zero_table_validation(self):
         with pytest.raises(ValueError):
             specfun.ZeroTable(alpha=0.0, zeros=(2.0, 1.0))
         with pytest.raises(ValueError):
             specfun.ZeroTable(alpha=0.0, zeros=(-1.0, 2.0))
+        with pytest.raises(ValueError):
+            specfun.ZeroTable(alpha=0.0, zeros=(math.nan,))
+        with pytest.raises(ValueError):
+            specfun.ZeroTable(alpha=0.0, zeros=(2.4, math.inf))
 
 
 class TestPochhammer:

@@ -110,20 +110,6 @@ class TestHadamard:
             assert abs(vd.hadamard_cf(m, z, 200, "imag") - ref_i) \
                 <= 1e-8 * max(1.0, abs(ref_i))
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 3.0])
-    def test_model_table_prefix_changes_no_bit(self, alpha):
-        # up to 256 zeros are read off the model's table; the value is the
-        # product over a table built for `truncation` zeros alone
-        m = vd.PowerSemicircle(alpha)
-        for n in (50, 200):
-            own = specfun.bessel_zeros(alpha, n)
-            assert specfun.bessel_zeros(alpha, 256).zeros[:n] == own.zeros
-            for z in np.linspace(0.25, 10.0, 40):
-                for axis, y in (("real", -z * z), ("imag", z * z)):
-                    log_p, negative = vd._log_zero_product(own, y)
-                    want = -math.exp(log_p) if negative else math.exp(log_p)
-                    assert vd.hadamard_cf(m, z, n, axis) == want
-
     def test_axis_validation(self):
         with pytest.raises(ValueError):
             vd.hadamard_cf(vd.PowerSemicircle(1.0), 1.0, 50, "complex")
