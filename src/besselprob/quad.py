@@ -4,7 +4,8 @@ of cos by its cosine series on [0, pi/2] and an incomplete Gamma continued
 fraction beyond, the squared-Bessel Mellin integral by the termwise
 integral of the 1F2 power series of J^2 and panels up to its first zero,
 panels per zero gap up to a zero past the Hankel crossover, and a
-closed-form tail beyond it.
+closed-form tail beyond it; its nodes, their Bessel values and the tail's
+Hankel terms depend on the order alone and are computed once per order.
 """
 
 from __future__ import annotations
@@ -224,6 +225,103 @@ def _zeros_through(alpha: float, x: float) -> tuple:
     return zeros[:bisect.bisect_left(zeros, x) + 1]
 
 
+# The head's power series runs to z0 = min(j_1, 2.5): its largest term,
+# near k = 2, is ~10 times its sum there.  Gauss-Legendre panels at most 8
+# wide cover [z0, j_1]: one panel below alpha ~ 6, five at alpha = 30 (two
+# panels of width 17 are already 3e-13 off there, and 1e-10 at alpha = 45).
+_HEAD_SERIES_Z = 2.5
+_HEAD_PANEL_WIDTH = 8.0
+
+
+@dataclass(frozen=True)
+class _Order:
+    """What `ws_integral` takes from alpha alone (`_ws_order`)."""
+    alpha: float
+    zeros: tuple        # j_1 up to Z, the first zero at or past j_crossover
+    log_c: float        # log c = log(4^{-alpha} / Gamma(alpha+1)^2)
+    z0: float           # min(j_1, 2.5), where the head's series stops
+    head_r: float       # half width of the head panels on [z0, j_1]
+    # per head panel: its 16-point nodes (log z, Jnorm^2, 2|Jnorm| + dn,
+    # dn) and its 12-point nodes (log z, Jnorm^2)
+    head: tuple
+    # per zero gap: its half width r, J's error bound dj there and its
+    # 16-point nodes (z, w, J^2 - envelope, r w, 2|J| + dj)
+    gaps: tuple
+    # the tail's Hankel data at Z: (n, i^n e_n) for the even n >= 4 of
+    # |W|^2, the coefficients d_n of W^2, e^{-i(alpha pi + pi/2)} e^{2iZ},
+    # the number of terms t_k, 2 sum |t_k| + rest, and rest
+    power_terms: tuple
+    d: tuple
+    phase: complex
+    n_terms: int
+    hankel_mag: float
+    rest: float
+
+
+@lru_cache(maxsize=128)
+def _ws_order(alpha: float) -> _Order:
+    """All of `ws_integral`'s work that s does not touch: the zeros up to
+    Z, every panel node with its J value and error bound, and the tail's
+    Hankel data.  Cached like `bessel_zeros`: a further s at a cached order
+    evaluates no kernel, and `cache_clear` forgets every order."""
+    zeros = _zeros_through(alpha, backend.j_crossover(alpha))
+    mu = 4.0 * alpha * alpha
+    j1 = zeros[0]
+    log_c = -2.0 * ln_gamma(alpha + 1.0) - alpha * math.log(4.0)
+    log_gamma = abs(ln_gamma(alpha + 1.0))
+    z0 = min(j1, _HEAD_SERIES_Z)
+    count = math.ceil((j1 - z0) / _HEAD_PANEL_WIDTH)
+    dj = backend.bessel_j_error_bound(alpha, j1) if count else 0.0
+
+    def head_node(z):
+        """log z, Jnorm(z)^2, 2|Jnorm| + dn and Jnorm's error dn."""
+        lz = math.log(z)
+        jn = backend.bessel_j_normalized(alpha, z)
+        dn = min(8.0 * _EPS * math.exp(z * z / (4.0 * alpha + 4.0)),
+                 dj * math.exp(-0.5 * log_c - alpha * lz)) \
+            + 8.0 * _EPS * (2.0 + log_gamma + abs(alpha * (lz - _LOG2))) * abs(jn)
+        return lz, jn * jn, 2.0 * abs(jn) + dn, dn
+
+    r = 0.5 * (j1 - z0) / max(count, 1)
+    xs, ws = _gl_nodes(16)
+    xc, _ = _gl_nodes(12)
+    head = []
+    for i in range(count):
+        m = z0 + (2 * i + 1) * r
+        head.append((tuple(head_node(m + r * x) for x in xs),
+                     tuple(head_node(m + r * x)[:2] for x in xc)))
+
+    gaps = []
+    for a, b in zip(zeros, zeros[1:]):
+        m = 0.5 * (a + b)
+        gap_r = 0.5 * (b - a)
+        # |J| is off by at most the kernel's bound over the zero gap
+        gap_dj = backend.bessel_j_error_bound(alpha, b)
+        nodes = []
+        for x, w in zip(xs, ws):
+            z = m + gap_r * x
+            jz = backend.bessel_j(alpha, z)
+            nodes.append((z, w, jz * jz - (1.0 + (mu - 1.0) / (8.0 * z * z)) / (math.pi * z),
+                          gap_r * w, 2.0 * abs(jz) + gap_dj))
+        gaps.append((gap_r, gap_dj, tuple(nodes)))
+
+    z = zeros[-1]
+    terms, rest = backend.hankel_terms(alpha, z)
+    t = np.array(terms)
+    sign = np.where(np.arange(len(terms)) % 2 == 0, 1.0, -1.0)
+    # |W|^2 = sum_n e_n (z/x)^n with e_n = i^n sum_k (-1)^k t_{n-k} t_k,
+    # zero for odd n; e_0 and e_2 are the smooth envelope
+    e = np.convolve(t, t * sign).tolist()
+    return _Order(
+        alpha=alpha, zeros=zeros, log_c=log_c, z0=z0, head_r=r,
+        head=tuple(head), gaps=tuple(gaps),
+        power_terms=tuple((n, e[n] if n % 4 == 0 else -e[n]) for n in range(4, len(e), 2)),
+        d=tuple(np.convolve(t, t).tolist()),
+        # alpha reduced mod 2 first
+        phase=-1j * cmath.exp(1j * (2.0 * z - math.pi * math.fmod(alpha, 2.0))),
+        n_terms=len(terms), hankel_mag=2.0 * float(np.abs(t).sum()) + rest, rest=rest)
+
+
 def _osc_factors(bs: list, z: float) -> tuple:
     """C(b) = z^{b-1} e^{-2iz} int_z^inf x^{-b} e^{2ix} dx for each b of
     the unit-spaced list `bs`, and the relative error of the continued
@@ -263,50 +361,34 @@ def _osc_factors(bs: list, z: float) -> tuple:
     return out, abs(delta - 1.0)
 
 
-def _ws_tail(alpha: float, s: float, z: float) -> tuple:
-    """int_z^inf x^{-2s} (J_alpha(x)^2 - (1 + (mu-1)/(8 x^2))/(pi x)) dx
-    for z >= `backend.j_crossover(alpha)`, and the error bounds of its
-    Hankel truncation and its continued fraction.
+def _ws_tail(order: _Order, s: float) -> tuple:
+    """int_Z^inf x^{-2s} (J_alpha(x)^2 - (1 + (mu-1)/(8 x^2))/(pi x)) dx
+    for Z = `order.zeros[-1]`, the first zero at or past
+    `backend.j_crossover(alpha)`, and the error bounds of its Hankel
+    truncation and its continued fraction.
 
-    With W = P + iQ = sum_k t_k i^k (z/x)^k (`backend.hankel_terms` at z)
+    With W = P + iQ = sum_k t_k i^k (Z/x)^k (`backend.hankel_terms` at Z)
     and omega = x - alpha pi/2 - pi/4, J^2 = (|W|^2 + Re(W^2 e^{2 i
     omega}))/(pi x) (DLMF 10.17.3).  The terms k >= 4 of |W|^2 integrate
     as powers of x; each term of W^2 gives one `_osc_factors` integral.
+    The terms and their convolutions are the order's (`_ws_order`): only
+    the powers, the integrals and the sums here depend on s.
     """
-    terms, rest = backend.hankel_terms(alpha, z)
-    t = np.array(terms)
-    sign = np.where(np.arange(len(terms)) % 2 == 0, 1.0, -1.0)
-    # |W|^2 = sum_n e_n (z/x)^n with e_n = i^n sum_k (-1)^k t_{n-k} t_k,
-    # zero for odd n; e_0 and e_2 are the smooth envelope
-    e = np.convolve(t, t * sign).tolist()
-    power = math.fsum((e[n] if n % 4 == 0 else -e[n]) / (2.0 * s + n)
-                      for n in range(4, len(e), 2))
-    d = np.convolve(t, t).tolist()
-    factors, cf_err = _osc_factors([2.0 * s + 1.0 + n for n in range(len(d))], z)
+    z = order.zeros[-1]
+    power = math.fsum(e / (2.0 * s + n) for n, e in order.power_terms)
+    factors, cf_err = _osc_factors([2.0 * s + 1.0 + n for n in range(len(order.d))], z)
     rot = (1.0, 1j, -1.0, -1j)
-    parts = [rot[n % 4] * dn * fn for n, (dn, fn) in enumerate(zip(d, factors))]
+    parts = [rot[n % 4] * dn * fn for n, (dn, fn) in enumerate(zip(order.d, factors))]
     wave = sum(parts)
-    # e^{-i(alpha pi + pi/2)} e^{2iz}, alpha reduced mod 2 first
-    phase = -1j * cmath.exp(1j * (2.0 * z - math.pi * math.fmod(alpha, 2.0)))
     scale = z ** (-2.0 * s) / math.pi
-    value = scale * (power + (phase * wave).real)
-    # |J^2 - J_N^2| <= (2/(pi x)) (2 |W_N| r + r^2) with r <= rest (z/x)^(N+1)
-    n_terms = len(terms)
-    hankel_err = 2.0 * scale * (2.0 * float(np.abs(t).sum()) + rest) * rest \
-        / (2.0 * s + n_terms)
+    value = scale * (power + (order.phase * wave).real)
+    # |J^2 - J_N^2| <= (2/(pi x)) (2 |W_N| r + r^2) with r <= rest (Z/x)^(N+1)
+    hankel_err = 2.0 * scale * order.hankel_mag * order.rest / (2.0 * s + order.n_terms)
     cf_bound = scale * cf_err * sum(abs(p) for p in parts)
     return value, hankel_err, cf_bound
 
 
-# The head's power series runs to z0 = min(j_1, 2.5): its largest term,
-# near k = 2, is ~10 times its sum there.  Gauss-Legendre panels at most 8
-# wide cover [z0, j_1]: one panel below alpha ~ 6, five at alpha = 30 (two
-# panels of width 17 are already 3e-13 off there, and 1e-10 at alpha = 45).
-_HEAD_SERIES_Z = 2.5
-_HEAD_PANEL_WIDTH = 8.0
-
-
-def _ws_head(alpha: float, s: float, j1: float) -> tuple:
+def _ws_head(order: _Order, s: float) -> tuple:
     """int_0^{j1} z^{-2s} J_alpha(z)^2 dz = int_0^{j1} c z^p Jnorm(z)^2 dz
     (see `ws_integral`): its parts, their error estimate and the
     evaluations they took.
@@ -320,7 +402,9 @@ def _ws_head(alpha: float, s: float, j1: float) -> tuple:
     all of [0, j1] instead, c j1^{p1} / p1 (`lead`), and the panels take
     c z^p (Jnorm^2 - 1).  J has no zero on [z0, j1], so the integrand is
     smooth there: 16-point Gauss-Legendre panels, each with its 12-point
-    rule's discrepancy as its estimate.
+    rule's discrepancy as its estimate.  The panels' nodes, with Jnorm^2
+    and its error there, are the order's (`_ws_order`): each node here
+    takes one c z^p.
 
     Jnorm at a panel node is off by at most the smaller of 8 eps times the
     sum of its series' magnitudes (at most e^{z^2/(4 alpha + 4)}) and
@@ -331,12 +415,11 @@ def _ws_head(alpha: float, s: float, j1: float) -> tuple:
     carry c and the powers of z add 8 eps (1 + |log c| + (|p| + 1)
     |log j1|) relative to each part.
     """
+    alpha, log_c, z0 = order.alpha, order.log_c, order.z0
     p1 = math.fsum((2.0 * alpha, 1.0, -2.0 * s))     # p + 1, rounded once
     p = p1 - 1.0
-    log_c = -2.0 * ln_gamma(alpha + 1.0) - alpha * math.log(4.0)
     one = 1.0 if p < 0.0 else 0.0
-    log_j1 = math.log(j1)
-    z0 = min(j1, _HEAD_SERIES_Z)
+    log_j1 = math.log(order.zeros[0])
     lead = math.exp(log_c + p1 * log_j1) / p1 if p < 0.0 else 0.0
     x = -z0 * z0
     t = math.exp(log_c + p1 * math.log(z0))     # c tau_k (-z0^2)^k z0^{p1}
@@ -355,29 +438,19 @@ def _ws_head(alpha: float, s: float, j1: float) -> tuple:
     est = abs(term) + 4.0 * _EPS * mass
     evals = len(terms)
 
-    count = math.ceil((j1 - z0) / _HEAD_PANEL_WIDTH)
-    dj = backend.bessel_j_error_bound(alpha, j1) if count else 0.0
-    log_gamma = abs(ln_gamma(alpha + 1.0))
-
-    def node(z):
-        """The integrand at z and its error from Jnorm's."""
-        lz = math.log(z)
-        jn = backend.bessel_j_normalized(alpha, z)
-        cz = math.exp(log_c + p * lz)
-        dn = min(8.0 * _EPS * math.exp(z * z / (4.0 * alpha + 4.0)),
-                 dj * math.exp(-0.5 * log_c - alpha * lz)) \
-            + 8.0 * _EPS * (2.0 + log_gamma + abs(alpha * (lz - _LOG2))) * abs(jn)
-        return cz * (jn * jn - one), cz * (2.0 * abs(jn) + dn) * dn
-
-    r = 0.5 * (j1 - z0) / max(count, 1)
-    xs, ws = _gl_nodes(16)
-    xc, wc = _gl_nodes(12)
-    for i in range(count):
-        m = z0 + (2 * i + 1) * r
-        fine = [node(m + r * x) for x in xs]
-        parts.append(r * math.fsum(w * f for w, (f, _) in zip(ws, fine)))
-        coarse = r * math.fsum(w * node(m + r * x)[0] for x, w in zip(xc, wc))
-        est += abs(parts[-1] - coarse) + r * math.fsum(w * e for w, (_, e) in zip(ws, fine))
+    r = order.head_r
+    _, ws = _gl_nodes(16)
+    _, wc = _gl_nodes(12)
+    for nodes16, nodes12 in order.head:
+        values, errs = [], []
+        for lz, jn2, mag, dn in nodes16:
+            cz = math.exp(log_c + p * lz)
+            values.append(cz * (jn2 - one))
+            errs.append(cz * mag * dn)
+        parts.append(r * math.fsum(w * f for w, f in zip(ws, values)))
+        coarse = r * math.fsum(w * (math.exp(log_c + p * lz) * (jn2 - one))
+                               for w, (lz, jn2) in zip(wc, nodes12))
+        est += abs(parts[-1] - coarse) + r * math.fsum(w * e for w, e in zip(ws, errs))
         evals += 28
     est += 8.0 * _EPS * (1.0 + abs(log_c) + (abs(p) + 1.0) * abs(log_j1)) \
         * math.fsum(map(abs, parts)) + _EPS * abs(lead)
@@ -402,11 +475,16 @@ def ws_integral(alpha: float, s: float, tol: float = 1e-9) -> QuadratureResult:
     Gauss-Legendre panel per gap between consecutive zeros, from j_1 to Z,
     the first zero at or past `backend.j_crossover(alpha)` (for
     alpha <= 2 the fifth zero or earlier, at most 4 panels), and past Z
-    in closed form from the Hankel expansion (`_ws_tail`).  Each panel
-    node takes one scalar `backend.bessel_j` and one z^{-2s}, and each
-    panel one `math.fsum`.  As j_crossover grows like alpha^2/4, large
-    orders need many panels, whose nodes below j_crossover take the
-    fixed-point J.
+    in closed form from the Hankel expansion (`_ws_tail`).  As
+    j_crossover grows like alpha^2/4, large orders need many panels,
+    whose nodes below j_crossover take the fixed-point J.
+
+    Everything that depends on alpha alone is computed once per order and
+    cached (`_ws_order`, cleared by its `cache_clear` like
+    `bessel_zeros`): the zeros, every panel node with its J or Jnorm value
+    and error bound, and the tail's Hankel terms.  A call at a cached order
+    evaluates no Bessel kernel: each node takes one power of z, each panel
+    one `math.fsum`, and the tail its continued fraction.
 
     `abs_error_estimate` is the sum of
       - the head's estimate: the series' first neglected term and 4 eps
@@ -431,33 +509,26 @@ def ws_integral(alpha: float, s: float, tol: float = 1e-9) -> QuadratureResult:
         raise ValueError(f"need alpha > -1/2, got {alpha!r}")
     if not 0.0 < s < alpha + 0.5:
         raise ValueError(f"s={s} outside the strip (0, {alpha + 0.5})")
-    zeros = _zeros_through(alpha, backend.j_crossover(alpha))
+    order = _ws_order(alpha)
     mu = 4.0 * alpha * alpha
-    j1 = zeros[0]
+    j1 = order.zeros[0]
 
-    head, head_err, head_evals = _ws_head(alpha, s, j1)
+    head, head_err, head_evals = _ws_head(order, s)
 
     smooth = j1 ** (-2.0 * s) / (2.0 * math.pi * s) \
         + (mu - 1.0) / (8.0 * math.pi) * j1 ** (-2.0 * s - 2.0) / (2.0 * s + 2.0)
 
     power = -2.0 * s
-    xs, ws = _gl_nodes(16)
     panels = []
     kernel_err = 0.0
-    for a, b in zip(zeros, zeros[1:]):
-        m = 0.5 * (a + b)
-        r = 0.5 * (b - a)
-        # |J| is off by at most the kernel's bound over the zero gap
-        dj = backend.bessel_j_error_bound(alpha, b)
+    for r, dj, nodes in order.gaps:
         terms = []
-        for x, w in zip(xs, ws):
-            z = m + r * x
-            jz = backend.bessel_j(alpha, z)
+        for z, w, oscillation, rw, mag in nodes:
             zp = z ** power
-            terms.append(w * (zp * (jz * jz - (1.0 + (mu - 1.0) / (8.0 * z * z)) / (math.pi * z))))
-            kernel_err += r * w * zp * (2.0 * abs(jz) + dj) * dj
+            terms.append(w * (zp * oscillation))
+            kernel_err += rw * zp * mag * dj
         panels.append(r * math.fsum(terms))
-    tail, hankel_err, cf_err = _ws_tail(alpha, s, zeros[-1])
+    tail, hankel_err, cf_err = _ws_tail(order, s)
     parts = [*head, smooth, *panels, tail]
     value = math.fsum(parts)
     est = (head_err + hankel_err + cf_err + kernel_err

@@ -173,6 +173,7 @@ class TestWsIntegral:
         monkeypatch.setattr(specfun, "backend",
                             types.SimpleNamespace(**{**vars(backend), "bessel_j": counted}))
         specfun.bessel_zeros.cache_clear()
+        quad._ws_order.cache_clear()
         quad.ws_integral(1.35, 0.4, tol=1e-8)
         misses, calls = specfun.bessel_zeros.cache_info().misses, walk[0]
         assert misses > 0 and calls > 0
@@ -188,9 +189,54 @@ class TestWsIntegral:
             return specfun.bessel_zeros(alpha, count)
 
         monkeypatch.setattr(quad, "bessel_zeros", counted)
+        quad._ws_order.cache_clear()
         for alpha in (0.0, 0.3, 0.5, 1.0, 1.35, 1.5, 1.9, 2.0):
             quad.ws_integral(alpha, 0.4, tol=1e-9)
         assert 0 < max(counts) <= 8
+
+    def test_repeat_order_evaluates_no_kernel(self, monkeypatch):
+        # a further s at a cached order reads every J value, error bound and
+        # Hankel term off the order's cache; cache_clear brings the calls back
+        names = ("bessel_j", "bessel_j_normalized", "bessel_j_error_bound", "hankel_terms")
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name):
+            inner = getattr(backend, name)
+
+            def call(*args):
+                calls[name] += 1
+                return inner(*args)
+            return call
+
+        monkeypatch.setattr(quad, "backend", types.SimpleNamespace(
+            **{**vars(backend), **{name: counted(name) for name in names}}))
+        quad._ws_order.cache_clear()
+        quad.ws_integral(2.37, 1.1)
+        cold = dict(calls)
+        assert all(cold.values()), cold
+        quad.ws_integral(2.37, 0.4)
+        assert calls == cold
+        quad._ws_order.cache_clear()
+        quad.ws_integral(2.37, 0.4)
+        assert calls == {name: 2 * n for name, n in cold.items()}
+
+    def test_order_cache_changes_no_bit(self):
+        # each integral asked with a cleared cache equals, bit for bit, the
+        # same integral asked in shuffled order with the cache filling;
+        # alpha = 12.16 puts the zero-gap nodes in the fixed-point J band
+        points = [(alpha, frac * (alpha + 0.5)) for alpha in (-0.3, 0.5, 2.37, 7.3, 12.16)
+                  for frac in (0.1, 0.5, 0.9)]
+
+        def bits(r):
+            return r.value.hex(), r.abs_error_estimate.hex(), r.evaluations, r.converged
+
+        cold = {}
+        for point in points:
+            quad._ws_order.cache_clear()
+            cold[point] = bits(quad.ws_integral(*point))
+        quad._ws_order.cache_clear()
+        random.Random(3).shuffle(points)
+        assert {point: bits(quad.ws_integral(*point)) for point in points} == cold
 
     def test_error_estimate_bounds_the_error(self):
         # |value - closed form| <= abs_error_estimate at 150 points, alpha in
