@@ -81,15 +81,22 @@ class GammaRatioSpec:
     def __post_init__(self):
         for name in "abcd":
             vals = tuple(sorted(_parse_entry(v) for v in getattr(self, name)))
-            if any(not v > 0.0 for v in vals):
-                raise ValueError(f"set {name} must contain positive entries")
+            if any(not 0.0 < v < math.inf for v in vals):
+                raise ValueError(f"set {name} must contain positive finite entries")
             object.__setattr__(self, name, vals)
 
     @classmethod
     def from_json(cls, text: str) -> "GammaRatioSpec":
+        """A spec from a JSON object whose keys are among a, b, c, d, each a
+        list of numbers or number strings ("17/5"); ValueError otherwise."""
         obj = json.loads(text)
-        return cls(a=tuple(obj.get("a", ())), b=tuple(obj.get("b", ())),
-                   c=tuple(obj.get("c", ())), d=tuple(obj.get("d", ())))
+        if not isinstance(obj, dict) or not set(obj) <= set("abcd"):
+            raise ValueError("spec must be a JSON object with keys among a, b, c, d")
+        for name, vals in obj.items():
+            if not isinstance(vals, list) or any(
+                    isinstance(v, bool) or not isinstance(v, (int, float, str)) for v in vals):
+                raise ValueError(f"spec set {name} must be a list of numbers or number strings")
+        return cls(**{name: tuple(vals) for name, vals in obj.items()})
 
     @property
     def strip(self) -> tuple:
@@ -461,13 +468,13 @@ def f2_nonneg_scan(A: float, B: float, C: float) -> ScanOutcome:
 
     Below x = 110 every point is one float hyp1f2_screened call, and the
     march stops at the first hit.  From there, each chunk of 1024 grid
-    points is one array hyp1f2_screened call (the same bits point by
-    point), and the first point with v < -8 bound is the hit.  The screen
-    returns (value, inf) where the double series (x < 110) or the large-x
-    expansion (110 <= x < 160) shows the value above 8 times its bound,
-    and hyp1f2_with_bound's pair elsewhere: a screened point is positive,
-    so it is neither a hit nor negative, and every outcome is the one
-    hyp1f2_with_bound alone gives.
+    points is one array hyp1f2_screened call (1F2's one array path, the
+    float calls' bits point by point), and the first point with v < -8
+    bound is the hit.  The screen returns (value, inf) where the double
+    series (x < 110) or the large-x expansion (110 <= x < 160) shows the
+    value above 8 times its bound, and hyp1f2_with_bound's pair
+    elsewhere: a screened point is positive, so it is neither a hit nor
+    negative, and every outcome is the one hyp1f2_with_bound alone gives.
     """
     if not (A > 0.0 and B > 0.0 and C > 0.0):
         raise ValueError("need positive parameters")

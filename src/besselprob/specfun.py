@@ -430,40 +430,20 @@ def _f2_highprec_series(a: float, b: float, c: float, x: float):
     return backend.hyp1f2_fixed_point(a, b, c, x, (1, 1), _F2_HP_TERMS)
 
 
-def _hyp1f2_array(a: float, b: float, c: float, x: np.ndarray, screen: bool):
-    """The 1-D array body of hyp1f2_with_bound and, with `screen`, of
-    hyp1f2_screened: each element is the float call's pair.  The elements
-    x <= -_F2_ASYM_MIN_X (with `screen`, x <= -_F2_SERIES_MAX_X), given
-    a, b, c > 0, go through one array `_f2_asymptotic` call.  The elements
-    it leaves open (bound off the target from _F2_ASYM_MIN_X on, not
-    screened below it) take one hyp1f2_with_bound call each, which for a
-    band element is the fixed-point series; all other elements, and every
-    element where the array call raises OverflowError, take one float call
-    of the function whose body this is."""
-    vals, bounds = np.empty(x.shape), np.empty(x.shape)
-    rest = np.ones(x.shape, dtype=bool)
-    tried = np.zeros(x.shape, dtype=bool)
-    lo = _F2_SERIES_MAX_X if screen else _F2_ASYM_MIN_X
-    large = np.flatnonzero(x <= -lo) if min(a, b, c) > 0.0 else []
-    if len(large):
-        try:
-            v, bnd = _f2_asymptotic(a, b, c, -x[large])
-        except OverflowError:   # the expansion leaves the double range
-            pass
-        else:
-            band = x[large] > -_F2_ASYM_MIN_X
-            shown = band & (v > _F2_SCREEN_MARGIN * bnd)
-            vals[large], bounds[large] = v, np.where(shown, math.inf, bnd)
-            missed = bnd > np.maximum(_TARGET_ABS, _TARGET_REL * np.abs(v))
-            rest[large] = ~shown & (band | missed)
-            tried[large] = True
-    for i in np.flatnonzero(rest):
-        point = hyp1f2_screened if screen and not tried[i] else hyp1f2_with_bound
-        vals[i], bounds[i] = point(a, b, c, float(x[i]))
-    return vals, bounds
+def _expansion_or_fixed_point(a: float, b: float, c: float, x: float, val: float, bound: float):
+    """hyp1f2_with_bound's pair where the double series does not settle x,
+    from the large-x expansion's (val, bound), or (nan, inf) where it was
+    not tried: that pair where its bound meets the target; otherwise the
+    fixed-point series' pair, or the expansion's where its bound is smaller."""
+    if bound <= max(_TARGET_ABS, _TARGET_REL * abs(val)):
+        return val, bound
+    hval, hbound = _f2_highprec_series(a, b, c, x)
+    if bound < hbound:
+        return val, bound
+    return hval, hbound
 
 
-def hyp1f2_with_bound(a: float, b: float, c: float, x: "float | np.ndarray"):
+def hyp1f2_with_bound(a: float, b: float, c: float, x: float):
     """1F2(a; b, c; x) with an absolute error bound.
 
     Route: direct double series for x > -_F2_SERIES_MAX_X (110) while its
@@ -478,35 +458,21 @@ def hyp1f2_with_bound(a: float, b: float, c: float, x: "float | np.ndarray"):
     x ~ -2.7e6 the fixed-point series declines (nan, inf bound), so where
     the expansion misses the target there, or does not apply, the bound
     misses it too and `hyp1f2` raises AccuracyError.
-
-    A 1-D ndarray x gives (values, bounds) arrays, each element the float
-    call's bits: the elements x <= -_F2_ASYM_MIN_X (with a, b, c > 0) go
-    through one array `_f2_asymptotic` call; those whose bound misses the
-    target, all other elements, and every element where that call raises
-    OverflowError take one float call each.
     """
     _f2_pole_check(b, c)
-    if isinstance(x, np.ndarray):
-        return _hyp1f2_array(a, b, c, x, screen=False)
     if x == 0.0:
         return 1.0, 0.0
     if x > -_F2_SERIES_MAX_X:
         val, bound, _ = backend.hyp1f2_series(a, b, c, x)
         if x > 0.0 or bound <= max(_TARGET_ABS, _TARGET_REL * abs(val)):
             return val, bound
-    ax = -x
-    abound = math.inf
-    if ax >= _F2_ASYM_MIN_X and min(a, b, c) > 0.0:
+    val, bound = math.nan, math.inf
+    if -x >= _F2_ASYM_MIN_X and min(a, b, c) > 0.0:
         try:
-            aval, abound = _f2_asymptotic(a, b, c, ax)
+            val, bound = _f2_asymptotic(a, b, c, -x)
         except OverflowError:   # the expansion leaves the double range
-            aval, abound = math.nan, math.inf
-        if abound <= max(_TARGET_ABS, _TARGET_REL * abs(aval)):
-            return aval, abound
-    hval, hbound = _f2_highprec_series(a, b, c, x)
-    if abound < hbound:
-        return aval, abound
-    return hval, hbound
+            pass
+    return _expansion_or_fixed_point(a, b, c, x, val, bound)
 
 
 def hyp1f2_screened(a: float, b: float, c: float, x: "float | np.ndarray"):
@@ -526,12 +492,38 @@ def hyp1f2_screened(a: float, b: float, c: float, x: "float | np.ndarray"):
     gammatype.f2_nonneg_scan's hit rule v < -8 bound.
 
     A 1-D ndarray x gives (values, bounds) arrays, each element the float
-    call's bits, with one array `_f2_asymptotic` call for all elements
-    x <= -_F2_SERIES_MAX_X (see `_hyp1f2_array`).
+    call's bits.  Given a, b, c > 0, the elements x <= -_F2_SERIES_MAX_X
+    take one array `_f2_asymptotic` call, and those it leaves open (not
+    screened in the band, bound off the target from _F2_ASYM_MIN_X on)
+    settle from that call's pair by `_expansion_or_fixed_point`, which
+    sums the fixed-point series where needed.  All other elements, and all
+    of them where the array call raises OverflowError, take one float call
+    each.
     """
     _f2_pole_check(b, c)
     if isinstance(x, np.ndarray):
-        return _hyp1f2_array(a, b, c, x, screen=True)
+        vals, bounds = np.empty(x.shape), np.empty(x.shape)
+        rest = np.ones(x.shape, dtype=bool)
+        large = np.flatnonzero(x <= -_F2_SERIES_MAX_X) if min(a, b, c) > 0.0 else []
+        if len(large):
+            try:
+                v, bnd = _f2_asymptotic(a, b, c, -x[large])
+            except OverflowError:   # the expansion leaves the double range
+                pass
+            else:
+                band = x[large] > -_F2_ASYM_MIN_X
+                shown = band & (v > _F2_SCREEN_MARGIN * bnd)
+                vals[large], bounds[large] = v, np.where(shown, math.inf, bnd)
+                rest[large] = False
+                missed = bnd > np.maximum(_TARGET_ABS, _TARGET_REL * np.abs(v))
+                for j in np.flatnonzero(~shown & (band | missed)):
+                    # in the band hyp1f2_with_bound tries no expansion
+                    pair = (math.nan, math.inf) if band[j] else (v[j], bnd[j])
+                    i = large[j]
+                    vals[i], bounds[i] = _expansion_or_fixed_point(a, b, c, float(x[i]), *pair)
+        for i in np.flatnonzero(rest):
+            vals[i], bounds[i] = hyp1f2_screened(a, b, c, float(x[i]))
+        return vals, bounds
     ax = -x
     if not 0.0 < ax < _F2_ASYM_MIN_X:
         return hyp1f2_with_bound(a, b, c, x)

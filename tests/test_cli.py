@@ -260,8 +260,20 @@ class TestSampleCommands:
     ["gammatype", "exists", "-a", "1/0", "-b", "1", "-c", "1", "-d", "1"],
     ["gammatype", "exists", "--spec-json", '{"a": ["1/0"]}'],
     ["verify", "lommel", "--alpha-list=-0.4", "--t-list", "0"],
+    # a spec that is not an object, a set that is not a list, and an entry
+    # that is not a number or string died with a traceback and exit 1;
+    # true was read as 1.0, an unknown key was dropped and an infinite
+    # entry gave a verdict
+    ["gammatype", "exists", "--spec-json", "[1]"],
+    ["gammatype", "exists", "--spec-json", '{"a": 1}'],
+    ["gammatype", "exists", "--spec-json", '{"a": [null]}'],
+    ["gammatype", "exists", "--spec-json", '{"a": [true]}'],
+    ["gammatype", "exists", "--spec-json", '{"a": [1], "q": [2]}'],
+    ["gammatype", "exists", "--spec-json", '{"a": [Infinity]}'],
 ], ids=["sample-alpha", "quasilevy-a", "spec-not-json", "pair-one-sample", "density-x-inf",
-        "exists-zero-denominator", "spec-zero-denominator", "lommel-negative-order-at-0"])
+        "exists-zero-denominator", "spec-zero-denominator", "lommel-negative-order-at-0",
+        "spec-not-object", "spec-set-not-list", "spec-entry-null", "spec-entry-bool",
+        "spec-unknown-key", "spec-entry-infinity"])
 def test_domain_error_exits_2_without_output(argv, tmp_path):
     # the commands leave these errors to main's one mapping
     out = tmp_path / "x.out"

@@ -328,7 +328,14 @@ class TestScan:
         monkeypatch.undo()
         triples += bisected
         screened = [scan(*abc) for abc in triples]
-        monkeypatch.setattr(gt, "hyp1f2_screened", specfun.hyp1f2_with_bound)
+
+        def unscreened(a, b, c, x):
+            # hyp1f2_with_bound is float-only: map it over an array's elements
+            if isinstance(x, np.ndarray):
+                return np.array([specfun.hyp1f2_with_bound(a, b, c, float(xi)) for xi in x]).T
+            return specfun.hyp1f2_with_bound(a, b, c, x)
+
+        monkeypatch.setattr(gt, "hyp1f2_screened", unscreened)
         assert screened == [scan(*abc) for abc in triples]
         assert {out.kind for out in screened} == {"Negative", "Nonnegative", "Indeterminate"}
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import types
@@ -322,6 +323,21 @@ class TestWsIntegral:
     def test_frozen_bits(self, args, want):
         r = quad.ws_integral(*args, tol=1e-9)
         assert (r.value.hex(), r.abs_error_estimate.hex(), r.evaluations) == want
+
+    # sha256 over one line "value estimate evaluations" (float.hex) per point
+    # at the first 120 points of test_error_estimate_bounds_the_error: it
+    # moves with the order or association of any product, e.g. of the zero
+    # gaps' kernel error rw * zp * mag * dj, where the four pins above do not
+    def test_frozen_bits_digest(self):
+        rnd = random.Random(7)
+        digest = hashlib.sha256()
+        for _ in range(120):
+            alpha = rnd.uniform(0.0, 8.0)
+            s = rnd.uniform(0.05, alpha + 0.45)
+            r = quad.ws_integral(alpha, s, tol=1e-9)
+            digest.update(f"{r.value.hex()} {r.abs_error_estimate.hex()} {r.evaluations}\n".encode())
+        assert digest.hexdigest() == \
+            "5b26a7ad1a5794be7278ac5cff6548c01795edfa44e01c2c84fc88158cbe241e"
 
 
 def test_quadrature_result_validation():

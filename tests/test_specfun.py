@@ -693,11 +693,11 @@ class TestHyp1F2:
         want = oracles.mp_hyp1f2(a, b, c, -xi)
         assert abs(values.ravel()[0] - want) <= bounds.ravel()[0]
 
-    # an array x gives each element the float call's bits, on every route
-    # and with or without the screen: x = 0, x > 0, the bands (-110, 0),
-    # [-160, -110] and <= -160, a point whose expansion bound misses the
-    # target (0.5, 3, 8 at 200), parameters the expansion does not take
-    # (b < 0), and a chunk on which the expansion overflows (a = 100)
+    # an array x gives each element the float call's bits, on every route:
+    # x = 0, x > 0, the bands (-110, 0), [-160, -110] and <= -160, a point
+    # whose expansion bound misses the target (0.5, 3, 8 at 200),
+    # parameters the expansion does not take (b < 0), and a chunk on which
+    # the expansion overflows (a = 100)
     @given(a=st.floats(0.3, 4.0), b=st.floats(0.3, 4.0), c=st.floats(0.3, 4.0),
            xs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 50.0),
                                  st.floats(-110.0, 0.0, exclude_max=True),
@@ -708,20 +708,11 @@ class TestHyp1F2:
     @example(a=1.0, b=-0.5, c=2.0, xs=[-200.0, -300.0, -50.0])
     @example(a=100.0, b=1.5, c=2.5, xs=[-200.0, -400.0, -130.0, 3.0])
     def test_array_matches_float_calls(self, a, b, c, xs):
-        for f in (specfun.hyp1f2_with_bound, specfun.hyp1f2_screened):
-            values, bounds = f(a, b, c, np.array(xs))
-            assert values.shape == bounds.shape == (len(xs),)
-            want = [f(a, b, c, x) for x in xs]
-            assert [(v.hex(), bound.hex()) for v, bound in zip(values.tolist(), bounds.tolist())] \
-                == [(v.hex(), bound.hex()) for v, bound in want], f.__name__
-
-    def test_array_takes_one_expansion_call(self, monkeypatch):
-        calls = []
-        asym = specfun._f2_asymptotic
-        monkeypatch.setattr(specfun, "_f2_asymptotic",
-                            lambda *args: calls.append(args[3]) or asym(*args))
-        specfun.hyp1f2_with_bound(1.3, 2.0, 2.4, np.array([-50.0, -200.0, -130.0, -2.0e4]))
-        assert len(calls) == 1 and calls[0].tolist() == [200.0, 2.0e4]
+        values, bounds = specfun.hyp1f2_screened(a, b, c, np.array(xs))
+        assert values.shape == bounds.shape == (len(xs),)
+        want = [specfun.hyp1f2_screened(a, b, c, x) for x in xs]
+        assert [(v.hex(), bound.hex()) for v, bound in zip(values.tolist(), bounds.tolist())] \
+            == [(v.hex(), bound.hex()) for v, bound in want]
 
     # the screen tries the expansion on the band [-160, -110] too, in the
     # same one call, and sums no fixed-point series where it shows the
@@ -737,6 +728,24 @@ class TestHyp1F2:
             1.3, 2.0, 2.4, np.array([-50.0, -200.0, -130.0, -2.0e4]))
         assert len(calls) == 1 and calls[0].tolist() == [200.0, 130.0, 2.0e4]
         assert fixed_point == [] and bounds[2] == math.inf and values[2] > 0.0
+
+    # an element from x = -160 on whose expansion bound misses the target
+    # (0.5, 3, 8 at -200) settles from the array call's pair and the
+    # fixed-point series, with no second expansion call; -120 is screened
+    def test_screened_array_settles_missed_points_from_its_call(self, monkeypatch):
+        xs = [-200.0, -5e5, -120.0]
+        want = [specfun.hyp1f2_screened(0.5, 3.0, 8.0, x) for x in xs]
+        calls, fixed_point = [], []
+        asym, hp = specfun._f2_asymptotic, specfun._f2_highprec_series
+        monkeypatch.setattr(specfun, "_f2_asymptotic",
+                            lambda *args: calls.append(args[3]) or asym(*args))
+        monkeypatch.setattr(specfun, "_f2_highprec_series",
+                            lambda *args: fixed_point.append(args[3]) or hp(*args))
+        values, bounds = specfun.hyp1f2_screened(0.5, 3.0, 8.0, np.array(xs))
+        assert len(calls) == 1 and calls[0].tolist() == [200.0, 5e5, 120.0]
+        assert fixed_point == [-200.0]
+        assert [(v.hex(), bound.hex()) for v, bound in zip(values.tolist(), bounds.tolist())] \
+            == [(v.hex(), bound.hex()) for v, bound in want]
 
     # the screen on the ranges of the existence scan's parameters: a point
     # whose cheaper enclosure (the double series below |x| = 110, the
