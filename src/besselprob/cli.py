@@ -19,12 +19,12 @@ import platform
 import shlex
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 
 from . import __version__, gammatype, quad, specfun, vandantzig
 from .errors import AccuracyError, DivergenceError
+from .gammatype import parse_number
 
 EXIT_PASS = 0
 EXIT_TOL = 1
@@ -37,15 +37,8 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _parse_number(text: str) -> float:
-    try:
-        return float(Fraction(text)) if "/" in text else float(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
 def _parse_list(text: str):
-    return [_parse_number(v) for v in text.split(",") if v.strip()]
+    return [parse_number(v) for v in text.split(",") if v.strip()]
 
 
 def _emit(args, text: str) -> None:
@@ -226,8 +219,8 @@ def cmd_gammatype_exists(args) -> int:
             payload["atom_at_one"] = gammatype.atom_at_one(spec)
     elif None not in (args.a, args.b, args.c, args.d):
         verdict = gammatype.exists_D(
-            _parse_number(args.a), _parse_number(args.b),
-            _parse_number(args.c), _parse_number(args.d))
+            parse_number(args.a), parse_number(args.b),
+            parse_number(args.c), parse_number(args.d))
         payload = verdict.to_dict()
     else:
         raise ValueError("give either a spec or all of -a -b -c -d")
@@ -237,8 +230,8 @@ def cmd_gammatype_exists(args) -> int:
 
 
 def cmd_gammatype_boundary(args) -> int:
-    a = _parse_number(args.a)
-    b = _parse_number(args.b)
+    a = parse_number(args.a)
+    b = parse_number(args.b)
     us = np.linspace(args.u_from, args.u_to, args.u_count)
     u_min = 0.5 * (3 * a + b) + 0.25
     if args.u_from < u_min - 1e-12:
@@ -263,7 +256,7 @@ def cmd_gammatype_density(args) -> int:
 
 
 def cmd_gammatype_quasilevy(args) -> int:
-    q = gammatype.QuasiLevySpec(_parse_number(args.a), _parse_number(args.b))
+    q = gammatype.QuasiLevySpec(parse_number(args.a), parse_number(args.b))
     root = gammatype.quasi_levy_root(q)
     ss = _parse_list(args.s_list) if args.s_list else [-q.a / 2.0, q.b / 2.0]
     checks = []
@@ -284,8 +277,8 @@ def cmd_gammatype_quasilevy(args) -> int:
 
 
 def cmd_gammatype_convexity(args) -> int:
-    a = _parse_number(args.a)
-    b = _parse_number(args.b)
+    a = parse_number(args.a)
+    b = parse_number(args.b)
     us = list(np.linspace(args.u_from, args.u_to, args.u_count))
     report = gammatype.convexity_scan(a, b, us, resolution=args.resolution)
     _emit(args, _canonical(report))

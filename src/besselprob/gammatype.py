@@ -3,6 +3,11 @@ the one-over-two-Gamma family via 1F2 nonnegativity, quasi-Levy densities,
 Mellin-inversion densities, boundary mapping of the existence region, and
 the two appendix identities (cosine moment, two-dimensional Beta-type
 integral) used to close the squared-Bessel Mellin formula.
+
+The 1F2 sign scan, `f2_nonneg_scan` and its `ScanOutcome`, lives in
+`specfun` beside the 1F2 routes it decides with and is re-exported here.
+`parse_number` reads every number that arrives as text: the CLI's flags
+and lists and a spec's string entries.
 """
 
 from __future__ import annotations
@@ -19,17 +24,17 @@ import numpy as np
 from . import quad, rng
 from .errors import AccuracyError
 from .specfun import (
+    ScanOutcome,
     bessel_j,
     bessel_j_normalized,
     digamma,
-    f2_tail_profile,
-    hyp1f2_screened,
-    hyp1f2_with_bound,
+    f2_nonneg_scan,
     ln_gamma,
     ln_gamma_complex,
 )
 
 __all__ = [
+    "parse_number",
     "GammaRatioSpec",
     "ExistenceVerdict",
     "ScanOutcome",
@@ -59,13 +64,19 @@ __all__ = [
 ]
 
 
-def _parse_entry(v) -> float:
-    if isinstance(v, str):
-        try:
-            return float(Fraction(v))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {v!r}") from None
-    return float(v)
+def parse_number(text: str) -> float:
+    """The double a decimal ("2.5", "1e-3") or a fraction ("17/5") reads
+    as; ValueError, naming the text, where the denominator is zero or the
+    value is not a finite double ("1e400", "inf", "nan")."""
+    try:
+        v = float(Fraction(text)) if "/" in text else float(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite double: {text!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -80,7 +91,8 @@ class GammaRatioSpec:
 
     def __post_init__(self):
         for name in "abcd":
-            vals = tuple(sorted(_parse_entry(v) for v in getattr(self, name)))
+            vals = tuple(sorted(parse_number(v) if isinstance(v, str) else float(v)
+                                for v in getattr(self, name)))
             if any(not 0.0 < v < math.inf for v in vals):
                 raise ValueError(f"set {name} must contain positive finite entries")
             object.__setattr__(self, name, vals)
@@ -312,8 +324,8 @@ class QuasiLevySpec:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ValueError("need a, b > 0")
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise ValueError("need finite a, b > 0")
 
     @property
     def c(self) -> float:
@@ -396,8 +408,8 @@ def extremal_density(a: float, b: float, x: float) -> float:
     """Density sqrt(pi) G(2a+b) G(a+1/2) / (G(a) G(b)) x^{a-3/2}
     J_{a+b-1/2}(x^{-1/2})^2; nonnegative, vanishing at the squared
     reciprocal zeros."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError("need a, b > 0")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError("need finite a, b > 0")
     if not x > 0.0:
         raise ValueError("need x > 0")
     lc = 0.5 * math.log(math.pi) + ln_gamma(2 * a + b) + ln_gamma(a + 0.5) \
@@ -423,147 +435,6 @@ def extremal_moment_check(a: float, b: float, s: float):
 
 
 # ---------------------------------------------------------------------------
-# 1F2 nonnegativity scan
-
-
-@dataclass(frozen=True)
-class ScanOutcome:
-    kind: str               # Nonnegative | Negative | Indeterminate
-    witness: Optional[float] = None   # negativity location (Negative)
-    bound: Optional[float] = None     # pointwise-verified horizon
-    detail: str = ""
-
-
-_SCAN_X_CAP = 1e8
-# The scan evaluates one point per hyp1f2_screened call below this x and
-# _SCAN_CHUNK grid points per array call from it on.  Hits lie low: on
-# existence benchmark seeds 1 and 5, all 78 verified witnesses lie below
-# x = 160, and marching point by point, stopping at the hit, skips most of
-# the evaluations a whole chunk would make.  At x = 110 the double series
-# stops; from there one array call screens the band up to x = 160 by the
-# large-x expansion, where point by point each fixed-point sum took ~70 us.
-_SCAN_SPLIT_X = 110.0
-_SCAN_CHUNK = 1024
-
-
-def _is_square_structure(A: float, B: float, C: float) -> bool:
-    """Detect the parameter set where the function is a normalized squared
-    Bessel function (B = 2A, C = A + 1/2 up to ordering), hence
-    nonnegative identically."""
-    for bb, cc in ((B, C), (C, B)):
-        if abs(bb - 2.0 * A) < 1e-12 and abs(cc - (A + 0.5)) < 1e-12:
-            return True
-    return False
-
-
-def f2_nonneg_scan(A: float, B: float, C: float) -> ScanOutcome:
-    """Decide the sign pattern of x -> 1F2(A; B, C; -x) on [0, inf).
-
-    March in y = sqrt(x) (16 points per oscillation period), verify any
-    candidate negative value against the evaluator's error bound with
-    bisection refinement of the crossing, and close the tail by the
-    large-x structure: the algebraic term x^{-A} (coefficient P) governs
-    when it strictly dominates the oscillatory envelope x^{nu/2}
-    (coefficient Q > 0), and the scan stops at the profile's horizon.
-
-    Below x = 110 every point is one float hyp1f2_screened call, and the
-    march stops at the first hit.  From there, each chunk of 1024 grid
-    points is one array hyp1f2_screened call (1F2's one array path, the
-    float calls' bits point by point), and the first point with v < -8
-    bound is the hit.  The screen returns (value, inf) where the double
-    series (x < 110) or the large-x expansion (110 <= x < 160) shows the
-    value above 8 times its bound, and hyp1f2_with_bound's pair
-    elsewhere: a screened point is positive, so it is neither a hit nor
-    negative, and every outcome is the one hyp1f2_with_bound alone gives.
-    """
-    if not (A > 0.0 and B > 0.0 and C > 0.0):
-        raise ValueError("need positive parameters")
-    if _is_square_structure(A, B, C):
-        return ScanOutcome(kind="Nonnegative", bound=math.inf,
-                           detail="squared-Bessel structure")
-    prof = f2_tail_profile(A, B, C)
-    x_stop = prof.horizon
-    boundary = abs(-2.0 * A - prof.nu) < 1e-9
-
-    # sign decisions are made against the evaluator's own error bound (an
-    # absolute floor would blind the scan wherever the function itself
-    # decays below it)
-    dy = math.pi / 16.0
-    y = dy
-    y_end = math.sqrt(_SCAN_X_CAP if x_stop is None else x_stop) + dy
-    prev_x, prev_v = 0.0, 1.0
-    ambiguous = 0.0
-    while y <= y_end:
-        # one chunk: every point below the split, or the next _SCAN_CHUNK
-        # points past it (the running sum keeps the grid's bits)
-        large = y * y >= _SCAN_SPLIT_X
-        xs = []
-        while y <= y_end and (len(xs) < _SCAN_CHUNK if large else y * y < _SCAN_SPLIT_X):
-            xs.append(y * y)
-            y += dy
-        if large:
-            vs, bnds = hyp1f2_screened(A, B, C, -np.array(xs))
-        else:
-            pts = []
-            for x in xs:
-                pts.append(hyp1f2_screened(A, B, C, -x))
-                if pts[-1][0] < -8.0 * pts[-1][1]:
-                    break
-            vs, bnds = np.array(pts).T
-        hits = np.flatnonzero(vs < -8.0 * bnds)
-        before = vs[:hits[0]] if hits.size else vs
-        neg = before[before < 0.0]
-        if neg.size:
-            ambiguous = max(ambiguous, float(-neg.min()))
-        if before.size:
-            prev_x, prev_v = xs[before.size - 1], float(before[-1])
-        if hits.size:
-            v, bnd = float(vs[hits[0]]), float(bnds[hits[0]])
-            witness = _refine_witness(A, B, C, prev_x, prev_v, xs[hits[0]], v)
-            return ScanOutcome(kind="Negative", witness=witness,
-                               detail=f"verified value {v:.6g} (bound {bnd:.3g})")
-
-    if x_stop is not None:
-        return ScanOutcome(kind="Nonnegative", bound=x_stop,
-                           detail="scan clean; algebraic tail dominates")
-    if boundary:
-        # equal decay: the trough value behaves like (P - Q) x^{-A}
-        margin = prof.osc * (prof.g1 / math.sqrt(_SCAN_X_CAP) + 1e-12)
-        if prof.alg - prof.osc > margin:
-            return ScanOutcome(kind="Nonnegative", bound=_SCAN_X_CAP,
-                               detail="boundary case, algebraic coefficient wins")
-        if prof.alg - prof.osc < -margin:
-            return ScanOutcome(kind="Indeterminate",
-                               detail="boundary case: troughs negative beyond horizon, "
-                                      "no verified witness inside it")
-        return ScanOutcome(kind="Indeterminate", detail="boundary case too close to call")
-    # oscillation dominates (gap < 0) but no verified witness inside the cap
-    return ScanOutcome(kind="Indeterminate",
-                       detail=f"no verified witness below x={_SCAN_X_CAP:g}; "
-                              f"ambiguity {ambiguous:.3g}")
-
-
-def _refine_witness(A, B, C, x_lo, v_lo, x_hi, v_hi) -> float:
-    """Bisect the bracketing sign change, then return the verified negative
-    point just past it (the scanned hit when no crossing brackets)."""
-    if not (v_lo > 0.0 > v_hi):
-        return x_hi
-    lo, hi = x_lo, x_hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        v, bnd = hyp1f2_with_bound(A, B, C, -mid)
-        if v < -8.0 * bnd:
-            hi = mid
-        elif v > 0.0:
-            lo = mid
-        else:
-            break
-        if hi - lo <= 1e-9 * max(1.0, hi):
-            break
-    return hi
-
-
-# ---------------------------------------------------------------------------
 # Existence oracle for the quartet family
 
 
@@ -574,8 +445,8 @@ def exists_D(a: float, b: float, c: float, d: float) -> ExistenceVerdict:
     delegates to the 1F2 scan on the shifted parameters (a+b; c+b, d+b).
     Symmetric in (c, d)."""
     for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
-        if not v > 0.0:
-            raise ValueError(f"parameter {name} must be positive, got {v!r}")
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"parameter {name} must be positive and finite, got {v!r}")
     mn = min(c, d)
     threshold = 3.0 * a + b + 0.5
     if mn <= a + 1e-12:
@@ -650,8 +521,8 @@ def boundary_f_ab(a: float, b: float, u: float, resolution: float = 1e-3) -> Bou
     bracket no wider than `resolution`; an Indeterminate verdict ends the
     bisection at the bracket reached.  Raises ValueError unless u is
     finite and resolution is finite and > 0."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError("need a, b > 0")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError("need finite a, b > 0")
     if not math.isfinite(u):
         raise ValueError(f"u must be finite, got {u!r}")
     if not (math.isfinite(resolution) and resolution > 0.0):
@@ -723,8 +594,8 @@ def askey_szego_check(a: float, b: float, x_grid: Sequence[float]) -> dict:
     so global nonnegativity of the partial integrals is equivalent to
     nonnegativity of that 1F2, i.e. to the region membership above.  The
     integrand behaves like t^{2b-1} at zero, integrable for every b > 0."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError("need a, b > 0")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError("need finite a, b > 0")
     xs = sorted(float(x) for x in x_grid)
     if not xs or xs[0] <= 0.0:
         raise ValueError("x_grid must be positive")

@@ -270,10 +270,14 @@ class TestSampleCommands:
     ["gammatype", "exists", "--spec-json", '{"a": [true]}'],
     ["gammatype", "exists", "--spec-json", '{"a": [1], "q": [2]}'],
     ["gammatype", "exists", "--spec-json", '{"a": [Infinity]}'],
+    # an infinite flag gave a verdict: Exists at c = inf, NotExists at
+    # a = 1e400
+    ["gammatype", "exists", "-a", "1", "-b", "1", "-c", "inf", "-d", "2"],
+    ["gammatype", "exists", "-a", "1e400", "-b", "1", "-c", "1", "-d", "1"],
 ], ids=["sample-alpha", "quasilevy-a", "spec-not-json", "pair-one-sample", "density-x-inf",
         "exists-zero-denominator", "spec-zero-denominator", "lommel-negative-order-at-0",
         "spec-not-object", "spec-set-not-list", "spec-entry-null", "spec-entry-bool",
-        "spec-unknown-key", "spec-entry-infinity"])
+        "spec-unknown-key", "spec-entry-infinity", "exists-c-inf", "exists-a-overflow"])
 def test_domain_error_exits_2_without_output(argv, tmp_path):
     # the commands leave these errors to main's one mapping
     out = tmp_path / "x.out"
@@ -292,8 +296,11 @@ def test_domain_error_exits_2_without_output(argv, tmp_path):
     (["gammatype", "exists", "-a", "1/0", "-b", "1", "-c", "1", "-d", "1"],
      "zero denominator in '1/0'"),
     (["gammatype", "exists", "--spec-json", '{"a": ["2/0"]}'], "zero denominator in '2/0'"),
+    # an entry past the double range named neither itself nor its set
+    (["gammatype", "exists", "--spec-json", '{"a":["1e400"],"c":[2]}'],
+     "not a finite double: '1e400'"),
 ], ids=["lommel-alpha", "ws-alpha", "ws-fraction", "exists-no-parameters", "boundary-u-range",
-        "exists-zero-denominator", "spec-zero-denominator"])
+        "exists-zero-denominator", "spec-zero-denominator", "spec-entry-overflow"])
 def test_usage_error_text(argv, message, tmp_path, capsys):
     out = tmp_path / "x.out"
     assert run([*argv, "--out", str(out)]) == 2

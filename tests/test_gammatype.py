@@ -335,7 +335,7 @@ class TestScan:
                 return np.array([specfun.hyp1f2_with_bound(a, b, c, float(xi)) for xi in x]).T
             return specfun.hyp1f2_with_bound(a, b, c, x)
 
-        monkeypatch.setattr(gt, "hyp1f2_screened", unscreened)
+        monkeypatch.setattr(specfun, "_hyp1f2_screened", unscreened)
         assert screened == [scan(*abc) for abc in triples]
         assert {out.kind for out in screened} == {"Negative", "Nonnegative", "Indeterminate"}
 
@@ -386,6 +386,14 @@ class TestExistsD:
     def test_positivity_guard(self):
         with pytest.raises(ValueError):
             gt.exists_D(0.0, 1.0, 2.0, 2.0)
+
+    # an infinite c gave an Exists verdict, and the scan at A = inf died
+    # with an OverflowError from the fixed-point ratios
+    def test_finiteness_guard(self):
+        with pytest.raises(ValueError):
+            gt.exists_D(1.0, 1.0, math.inf, 2.0)
+        with pytest.raises(ValueError):
+            gt.f2_nonneg_scan(math.inf, 1.0, 1.0)
 
 
 class TestExistsSpec:

@@ -708,9 +708,9 @@ class TestHyp1F2:
     @example(a=1.0, b=-0.5, c=2.0, xs=[-200.0, -300.0, -50.0])
     @example(a=100.0, b=1.5, c=2.5, xs=[-200.0, -400.0, -130.0, 3.0])
     def test_array_matches_float_calls(self, a, b, c, xs):
-        values, bounds = specfun.hyp1f2_screened(a, b, c, np.array(xs))
+        values, bounds = specfun._hyp1f2_screened(a, b, c, np.array(xs))
         assert values.shape == bounds.shape == (len(xs),)
-        want = [specfun.hyp1f2_screened(a, b, c, x) for x in xs]
+        want = [specfun._hyp1f2_screened(a, b, c, x) for x in xs]
         assert [(v.hex(), bound.hex()) for v, bound in zip(values.tolist(), bounds.tolist())] \
             == [(v.hex(), bound.hex()) for v, bound in want]
 
@@ -724,7 +724,7 @@ class TestHyp1F2:
                             lambda *args: calls.append(args[3]) or asym(*args))
         monkeypatch.setattr(specfun, "_f2_highprec_series",
                             lambda *args: fixed_point.append(args[3]) or hp(*args))
-        values, bounds = specfun.hyp1f2_screened(
+        values, bounds = specfun._hyp1f2_screened(
             1.3, 2.0, 2.4, np.array([-50.0, -200.0, -130.0, -2.0e4]))
         assert len(calls) == 1 and calls[0].tolist() == [200.0, 130.0, 2.0e4]
         assert fixed_point == [] and bounds[2] == math.inf and values[2] > 0.0
@@ -734,14 +734,14 @@ class TestHyp1F2:
     # fixed-point series, with no second expansion call; -120 is screened
     def test_screened_array_settles_missed_points_from_its_call(self, monkeypatch):
         xs = [-200.0, -5e5, -120.0]
-        want = [specfun.hyp1f2_screened(0.5, 3.0, 8.0, x) for x in xs]
+        want = [specfun._hyp1f2_screened(0.5, 3.0, 8.0, x) for x in xs]
         calls, fixed_point = [], []
         asym, hp = specfun._f2_asymptotic, specfun._f2_highprec_series
         monkeypatch.setattr(specfun, "_f2_asymptotic",
                             lambda *args: calls.append(args[3]) or asym(*args))
         monkeypatch.setattr(specfun, "_f2_highprec_series",
                             lambda *args: fixed_point.append(args[3]) or hp(*args))
-        values, bounds = specfun.hyp1f2_screened(0.5, 3.0, 8.0, np.array(xs))
+        values, bounds = specfun._hyp1f2_screened(0.5, 3.0, 8.0, np.array(xs))
         assert len(calls) == 1 and calls[0].tolist() == [200.0, 5e5, 120.0]
         assert fixed_point == [-200.0]
         assert [(v.hex(), bound.hex()) for v, bound in zip(values.tolist(), bounds.tolist())] \
@@ -763,7 +763,7 @@ class TestHyp1F2:
     @example(a=2.0, b=5.0, c=6.0, x=-110.0)
     @example(a=2.0, b=5.0, c=6.0, x=-math.nextafter(160.0, 0.0))
     def test_screen_only_shown_positive_points(self, a, b, c, x):
-        got = specfun.hyp1f2_screened(a, b, c, x)
+        got = specfun._hyp1f2_screened(a, b, c, x)
         want = specfun.hyp1f2_with_bound(a, b, c, x)
         if x > -110.0:
             v, bound, _ = backend.hyp1f2_series(a, b, c, x)
@@ -780,8 +780,8 @@ class TestHyp1F2:
     def test_tail_profile_horizon(self):
         # the algebraic part dominates from the first candidate, x = 64, on;
         # where x^{-a} decays faster than the envelope there is no horizon
-        assert specfun.f2_tail_profile(5.0, 8.0, 8.0).horizon == 64.0
-        assert specfun.f2_tail_profile(2.0, 2.0, 2.4).horizon is None
+        assert specfun._f2_tail_profile(5.0, 8.0, 8.0).horizon == 64.0
+        assert specfun._f2_tail_profile(2.0, 2.0, 2.4).horizon is None
 
     # the phase 2 sqrt(x) + nu pi/2 is rounded by ~2^-52 of itself before
     # cos and sin see it; past x ~ 7.5e4 that error outgrew the bound
